@@ -846,13 +846,6 @@ fn run_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
     use std::io::Write as _;
 
     let addr = flag_value(rest, "--addr").unwrap_or_else(|| DEFAULT_ADDR.to_string());
-    if flag_value(rest, "--cache-remote").is_some() {
-        return Err(
-            "--cache-remote applies to clients (flow/simulate/pareto/watch); `cool serve` \
-             *is* the remote — daemons never chain to other daemons"
-                .into(),
-        );
-    }
     // Like `watch`, the cache defaults *on*: a daemon without one would
     // just be a slower way to fork `cool flow`.
     let cache = if rest.iter().any(|a| a == "--no-cache") {
@@ -860,8 +853,9 @@ fn run_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
     } else {
         cache_from_flags(rest)?.unwrap_or_default()
     };
+    // `Server::bind` refuses a `--cache-remote` tier: daemons never chain.
     let server =
-        Server::bind(&addr, cache).map_err(|e| format!("cannot bind coold to {addr}: {e}"))?;
+        Server::bind(&addr, cache).map_err(|e| format!("cannot start coold on {addr}: {e}"))?;
     println!(
         "coold listening on {} (cache {}) — point clients at it with --connect",
         server.addr(),

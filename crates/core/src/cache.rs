@@ -11,6 +11,14 @@
 //! on a key match it skips the stage and restores the artifacts the
 //! original run deposited into the [`FlowContext`].
 //!
+//! Two kinds of [`Entry`] share the cache: stage executions and, one
+//! level below, per-node artifacts ([`NodeArtifact`]). Both take one
+//! path through the tiers — one lookup (memory → disk → remote, with
+//! promotion, disk healing and counting) and one insert (memory, then
+//! write-through to disk and remote) — and each kind keeps its own
+//! memory LRU bound and counters. An entry of the other kind reads as a
+//! miss and is left in place.
+//!
 //! The cache is `Arc`-shared and mutex-guarded so one instance can serve
 //! many concurrent [`crate::FlowSession`]s (sweep workers, the
 //! [`crate::server`] daemon's clients); entries are bounded
@@ -415,6 +423,54 @@ impl Codec for NodeArtifact {
     }
 }
 
+/// The two kinds of cache entry. The discriminant is the kind byte that
+/// leads every `.cce` payload ([`crate::disk`]), so every tier — and the
+/// wire — dispatches on the entry itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EntryKind {
+    /// A stage execution.
+    Stage = 0,
+    /// A per-node artifact.
+    Node = 1,
+}
+
+/// One cached value of either kind: what every tier stores, promotes
+/// and ships.
+#[derive(Debug, Clone)]
+pub enum Entry {
+    /// One stage execution.
+    Stage {
+        /// The artifacts the stage deposited.
+        delta: Arc<ArtifactDelta>,
+        /// Digests of the slots the delta fills, so a hit can extend the
+        /// engine's slot-digest table without re-hashing the artifacts.
+        writes: Arc<Vec<(ArtifactSlot, u128)>>,
+        /// Wall-clock the original execution took — the time a hit saves.
+        cost: Duration,
+    },
+    /// One per-node artifact.
+    Node(Arc<NodeArtifact>),
+}
+
+impl Entry {
+    /// The entry's kind.
+    #[must_use]
+    pub fn kind(&self) -> EntryKind {
+        match self {
+            Entry::Stage { .. } => EntryKind::Stage,
+            Entry::Node(_) => EntryKind::Node,
+        }
+    }
+}
+
+/// The tier a hit came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Memory,
+    Disk,
+    Remote,
+}
+
 /// What one [`StageCache::lookup_node`] found.
 #[derive(Debug, Clone)]
 pub struct NodeHit {
@@ -424,49 +480,6 @@ pub struct NodeHit {
     pub from_disk: bool,
     /// `true` when the entry came from the remote fleet tier.
     pub from_remote: bool,
-}
-
-/// One cached per-node artifact with its LRU recency.
-#[derive(Debug, Clone)]
-struct NodeEntry {
-    artifact: Arc<NodeArtifact>,
-    last_used: u64,
-}
-
-/// One cached stage execution.
-#[derive(Debug, Clone)]
-struct Entry {
-    delta: Arc<ArtifactDelta>,
-    /// Digests of the slots the delta fills, so a hit can extend the
-    /// engine's slot-digest table without re-hashing the artifacts.
-    writes: Arc<Vec<(ArtifactSlot, u128)>>,
-    /// Wall-clock the original execution took — the time a hit saves.
-    cost: Duration,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<StageKey, Entry>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    disk_hits: u64,
-    misses: u64,
-    evictions: u64,
-    disk_writes: u64,
-    disk_evictions: u64,
-    saved: Duration,
-    /// The node tier: per-node artifacts under namespaced node keys,
-    /// bounded by its own (much larger) LRU capacity — node entries are
-    /// small and numerous next to stage deltas.
-    nodes: HashMap<StageKey, NodeEntry>,
-    node_capacity: usize,
-    node_hits: u64,
-    node_disk_hits: u64,
-    node_misses: u64,
-    node_evictions: u64,
-    node_disk_writes: u64,
 }
 
 /// What one [`StageCache::lookup`] found.
@@ -484,6 +497,75 @@ pub struct CacheHit {
     /// `true` when the entry was fetched from the remote fleet tier (a
     /// `coold` daemon) and re-materialized locally.
     pub from_remote: bool,
+}
+
+/// One memory-resident entry with its LRU recency.
+#[derive(Debug)]
+struct Resident {
+    entry: Entry,
+    last_used: u64,
+}
+
+/// The memory tier of one entry kind: its LRU bound and its counters.
+#[derive(Debug, Default)]
+struct Tier {
+    map: HashMap<StageKey, Resident>,
+    capacity: usize,
+    hits: u64,
+    disk_hits: u64,
+    misses: u64,
+    evictions: u64,
+    disk_writes: u64,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    /// One memory tier per [`EntryKind`], indexed by the kind byte. Node
+    /// entries are small and numerous next to stage deltas, so each kind
+    /// has its own LRU bound.
+    tiers: [Tier; 2],
+    tick: u64,
+    saved: Duration,
+    /// Invalid disk entries evicted by lookups of either kind.
+    disk_evictions: u64,
+}
+
+impl Inner {
+    fn count_hit(&mut self, entry: &Entry, source: Source) {
+        let tier = &mut self.tiers[entry.kind() as usize];
+        tier.hits += 1;
+        tier.disk_hits += u64::from(source == Source::Disk);
+        if let Entry::Stage { cost, .. } = entry {
+            self.saved += *cost;
+        }
+    }
+
+    fn count_miss(&mut self, kind: Option<EntryKind>) {
+        if let Some(kind) = kind {
+            self.tiers[kind as usize].misses += 1;
+        }
+    }
+
+    /// Put `entry` into its kind's memory tier under `key`, evicting the
+    /// least-recently-used entries over the bound. Returns `true` when
+    /// `key` was not resident.
+    fn promote(&mut self, key: StageKey, entry: Entry) -> bool {
+        self.tick += 1;
+        let last_used = self.tick;
+        let tier = &mut self.tiers[entry.kind() as usize];
+        let fresh = tier
+            .map
+            .insert(key, Resident { entry, last_used })
+            .is_none();
+        while tier.map.len() > tier.capacity {
+            let Some((&victim, _)) = tier.map.iter().min_by_key(|(_, r)| r.last_used) else {
+                break;
+            };
+            tier.map.remove(&victim);
+            tier.evictions += 1;
+        }
+        fresh
+    }
 }
 
 /// Aggregate cache counters, for `--trace` output and the benches.
@@ -540,36 +622,21 @@ impl CacheStats {
     /// Hits as a fraction of all lookups (0 when nothing was looked up).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        ratio(self.hits, self.hits + self.misses)
     }
 
     /// Disk hits as a fraction of all lookups (0 when nothing was looked
     /// up) — the warm-start-across-processes rate.
     #[must_use]
     pub fn disk_hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.disk_hits as f64 / total as f64
-        }
+        ratio(self.disk_hits, self.hits + self.misses)
     }
 
     /// Node-tier hits as a fraction of all node-tier lookups (0 when no
     /// node was looked up).
     #[must_use]
     pub fn node_hit_rate(&self) -> f64 {
-        let total = self.node_hits + self.node_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.node_hits as f64 / total as f64
-        }
+        ratio(self.node_hits, self.node_hits + self.node_misses)
     }
 
     /// One-line human-readable summary.
@@ -616,8 +683,18 @@ impl CacheStats {
     }
 }
 
-/// A shared, LRU-bounded, content-addressed cache of stage executions,
-/// optionally backed by a persistent on-disk tier.
+/// `part / total`, or 0 when `total` is 0.
+fn ratio(part: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        part as f64 / total as f64
+    }
+}
+
+/// A shared, LRU-bounded, content-addressed cache of stage executions
+/// and per-node artifacts, optionally backed by a persistent on-disk
+/// tier and a remote fleet tier.
 ///
 /// Cloning is cheap (an `Arc` bump); clones share one store (memory and
 /// disk), which is how concurrent [`crate::FlowSession`]s (sweep
@@ -645,13 +722,17 @@ impl StageCache {
     /// node, so the bound is far above the stage-entry capacity.
     pub const DEFAULT_NODE_CAPACITY: usize = 4096;
 
-    /// An in-memory cache bounded to `capacity` entries (minimum 1).
+    /// An in-memory cache bounded to `capacity` stage entries (minimum
+    /// 1) and [`StageCache::DEFAULT_NODE_CAPACITY`] node entries.
     #[must_use]
     pub fn new(capacity: usize) -> StageCache {
+        let tier = |capacity: usize| Tier {
+            capacity: capacity.max(1),
+            ..Tier::default()
+        };
         StageCache {
             inner: Arc::new(Mutex::new(Inner {
-                capacity: capacity.max(1),
-                node_capacity: StageCache::DEFAULT_NODE_CAPACITY,
+                tiers: [tier(capacity), tier(StageCache::DEFAULT_NODE_CAPACITY)],
                 ..Inner::default()
             })),
             disk: None,
@@ -671,9 +752,7 @@ impl StageCache {
         capacity: usize,
         dir: impl AsRef<Path>,
     ) -> Result<StageCache, std::io::Error> {
-        let mut cache = StageCache::new(capacity);
-        cache.disk = Some(Arc::new(DiskStore::open(dir)?));
-        Ok(cache)
+        StageCache::persistent_with_cap(capacity, dir, crate::disk::DEFAULT_MAX_BYTES)
     }
 
     /// [`StageCache::persistent`] with an explicit byte-size cap for the
@@ -717,40 +796,87 @@ impl StageCache {
         self.remote.as_deref()
     }
 
-    /// Look up `key` tier by tier — memory, then disk, then the remote
-    /// fleet store; refreshes recency and counts hit/disk-hit/miss. A
-    /// disk or remote hit is promoted into the memory tier, and a remote
-    /// hit additionally heals the local disk tier (when attached) so the
-    /// next process warm-starts without the network.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("stage cache poisoned")
+    }
+
+    /// Look up a stage execution: [`StageCache::get`] for stage entries.
     #[must_use]
     pub fn lookup(&self, key: StageKey) -> Option<CacheHit> {
+        let (
+            Entry::Stage {
+                delta,
+                writes,
+                cost,
+            },
+            source,
+        ) = self.get(key, Some(EntryKind::Stage))?
+        else {
+            return None;
+        };
+        Some(CacheHit {
+            delta,
+            writes,
+            saved: cost,
+            from_disk: source == Source::Disk,
+            from_remote: source == Source::Remote,
+        })
+    }
+
+    /// Look up a per-node artifact by its namespaced node key:
+    /// [`StageCache::get`] for node entries.
+    #[must_use]
+    pub fn lookup_node(&self, key: StageKey) -> Option<NodeHit> {
+        let (Entry::Node(artifact), source) = self.get(key, Some(EntryKind::Node))? else {
+            return None;
+        };
+        Some(NodeHit {
+            artifact,
+            from_disk: source == Source::Disk,
+            from_remote: source == Source::Remote,
+        })
+    }
+
+    /// Look up `key` whatever its kind — the daemon side of a remote
+    /// get, which names no kind. A hit is counted under the kind it
+    /// found; a miss, having no kind, is left to the caller to count.
+    #[must_use]
+    pub(crate) fn lookup_entry(&self, key: StageKey) -> Option<Entry> {
+        self.get(key, None).map(|(entry, _)| entry)
+    }
+
+    /// The one lookup: tier by tier — memory, then disk, then the remote
+    /// fleet store — refreshing recency and counting hits, disk hits and
+    /// misses per kind. A disk or remote hit is promoted into the memory
+    /// tier, and a remote hit also heals the local disk tier (when
+    /// attached) so the next process warm-starts without the network.
+    /// An entry of a kind other than `kind` (`None` takes either) reads
+    /// as a miss and is left where it is.
+    fn get(&self, key: StageKey, kind: Option<EntryKind>) -> Option<(Entry, Source)> {
+        let wanted = |entry: &Entry| kind.map_or(true, |k| entry.kind() == k);
         {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
-            let found = inner.map.get_mut(&key).map(|e| {
-                e.last_used = tick;
-                CacheHit {
-                    delta: Arc::clone(&e.delta),
-                    writes: Arc::clone(&e.writes),
-                    saved: e.cost,
-                    from_disk: false,
-                    from_remote: false,
-                }
-            });
-            if let Some(hit) = found {
-                inner.hits += 1;
-                inner.saved += hit.saved;
-                return Some(hit);
+            let resident = inner
+                .tiers
+                .iter_mut()
+                .find_map(|tier| tier.map.get_mut(&key).filter(|r| wanted(&r.entry)));
+            if let Some(resident) = resident {
+                resident.last_used = tick;
+                let entry = resident.entry.clone();
+                inner.count_hit(&entry, Source::Memory);
+                return Some((entry, Source::Memory));
             }
             if self.disk.is_none() && self.remote.is_none() {
-                inner.misses += 1;
+                inner.count_miss(kind);
                 return None;
             }
         }
         // Memory miss with lower tiers attached: disk and network I/O
         // happen outside the lock (they must not serialize the sweep
         // workers), then accounting and promotion re-acquire it.
+        let mut hit = None;
         let mut disk_evicted = false;
         if let Some(disk) = &self.disk {
             match disk.load(key) {
@@ -759,86 +885,49 @@ impl StageCache {
                     writes,
                     cost,
                 } => {
-                    let hit = CacheHit {
-                        delta: Arc::new(*delta),
-                        writes: Arc::new(writes),
-                        saved: cost,
-                        from_disk: true,
-                        from_remote: false,
-                    };
-                    let mut inner = self.inner.lock().expect("stage cache poisoned");
-                    inner.hits += 1;
-                    inner.disk_hits += 1;
-                    inner.saved += cost;
-                    Self::promote(&mut inner, key, &hit);
-                    return Some(hit);
+                    hit = Some(Entry::Stage {
+                        delta,
+                        writes,
+                        cost,
+                    })
                 }
+                Load::Node(artifact) => hit = Some(Entry::Node(artifact)),
                 Load::Evicted => disk_evicted = true,
                 Load::Miss => {}
             }
         }
-        if let Some(remote) = &self.remote {
-            let decoded = remote
-                .get_stage(key)
-                .and_then(|bytes| crate::disk::decode_stage_entry(&bytes));
-            if let Some((delta, writes, cost)) = decoded {
-                let hit = CacheHit {
-                    delta: Arc::new(delta),
-                    writes: Arc::new(writes),
-                    saved: cost,
-                    from_disk: false,
-                    from_remote: true,
-                };
-                // Heal the local disk tier so the next process on this
-                // machine warm-starts without touching the network.
-                let healed = self.disk.as_ref().is_some_and(|d| {
-                    matches!(d.store(key, &hit.delta, &hit.writes, cost), Ok(true))
-                });
-                let mut inner = self.inner.lock().expect("stage cache poisoned");
-                inner.hits += 1;
-                inner.saved += cost;
-                if disk_evicted {
-                    inner.disk_evictions += 1;
+        let mut source = Source::Disk;
+        let mut healed = false;
+        hit = hit.filter(wanted);
+        if let (None, Some(remote)) = (&hit, &self.remote) {
+            if let Some(bytes) = remote.get_stage(key) {
+                hit = crate::disk::decode_entry(&bytes).filter(wanted);
+                if hit.is_some() {
+                    source = Source::Remote;
+                    // The bytes passed the same validation as a disk
+                    // read; writing them as-is heals the local disk tier.
+                    healed = self
+                        .disk
+                        .as_ref()
+                        .is_some_and(|d| matches!(d.write_entry(key, &bytes), Ok(true)));
                 }
-                if healed {
-                    inner.disk_writes += 1;
-                }
-                Self::promote(&mut inner, key, &hit);
-                return Some(hit);
             }
         }
-        let mut inner = self.inner.lock().expect("stage cache poisoned");
-        inner.misses += 1;
-        if disk_evicted {
-            inner.disk_evictions += 1;
-        }
-        None
-    }
-
-    /// Insert `hit` into the memory tier under `key`, evicting over
-    /// capacity (caller holds the lock and has already accounted the hit).
-    fn promote(inner: &mut Inner, key: StageKey, hit: &CacheHit) {
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
-                delta: Arc::clone(&hit.delta),
-                writes: Arc::clone(&hit.writes),
-                cost: hit.saved,
-                last_used: tick,
-            },
-        );
-        Self::evict_over_capacity(inner);
+        let mut inner = self.lock();
+        inner.disk_evictions += u64::from(disk_evicted);
+        let Some(entry) = hit else {
+            inner.count_miss(kind);
+            return None;
+        };
+        inner.count_hit(&entry, source);
+        inner.tiers[entry.kind() as usize].disk_writes += u64::from(healed);
+        inner.promote(key, entry.clone());
+        Some((entry, source))
     }
 
     /// Insert the delta a freshly executed stage produced, with the
-    /// content digests of the slots it fills. Evicts the least-recently
-    /// used in-memory entry when the bound is exceeded; inserting an
-    /// existing key refreshes it (deterministic stages make the value
-    /// identical, so last-writer-wins is safe under worker races). With a
-    /// disk tier the entry is written through (atomically; an entry
-    /// already on disk is left untouched).
+    /// content digests of the slots it fills: [`StageCache::insert_entry`]
+    /// for a stage entry.
     pub fn insert(
         &self,
         key: StageKey,
@@ -846,269 +935,50 @@ impl StageCache {
         writes: Vec<(ArtifactSlot, u128)>,
         cost: Duration,
     ) {
-        let delta = Arc::new(delta);
-        let writes = Arc::new(writes);
-        {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.map.insert(
-                key,
-                Entry {
-                    delta: Arc::clone(&delta),
-                    writes: Arc::clone(&writes),
-                    cost,
-                    last_used: tick,
-                },
-            );
-            Self::evict_over_capacity(&mut inner);
-        }
-        if let Some(disk) = &self.disk {
-            // Write-through outside the lock. A failed write degrades the
-            // disk tier to "smaller", never the run to "wrong".
-            if let Ok(true) = disk.store(key, &delta, &writes, cost) {
-                self.inner.lock().expect("stage cache poisoned").disk_writes += 1;
-            }
-        }
-        if let Some(remote) = &self.remote {
-            // Fleet write-through: ship the exact on-disk entry bytes so
-            // the daemon validates them with DiskStore's totality and
-            // every shard stores an identical representation.
-            let bytes = crate::disk::encode_entry_with_version(
-                &delta,
-                &writes,
-                cost,
-                crate::disk::FORMAT_VERSION,
-            );
-            remote.put_stage(key, bytes);
-        }
-    }
-
-    /// Insert an entry received over the wire (the daemon side of a
-    /// `CachePutStage`): memory and disk tiers only — never forwarded to
-    /// a remote tier, so daemons can never form a put loop. Returns
-    /// `true` when the key was not already resident in memory.
-    pub fn insert_remote(
-        &self,
-        key: StageKey,
-        delta: ArtifactDelta,
-        writes: Vec<(ArtifactSlot, u128)>,
-        cost: Duration,
-    ) -> bool {
-        let delta = Arc::new(delta);
-        let writes = Arc::new(writes);
-        let fresh = {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let fresh = inner
-                .map
-                .insert(
-                    key,
-                    Entry {
-                        delta: Arc::clone(&delta),
-                        writes: Arc::clone(&writes),
-                        cost,
-                        last_used: tick,
-                    },
-                )
-                .is_none();
-            Self::evict_over_capacity(&mut inner);
-            fresh
-        };
-        if let Some(disk) = &self.disk {
-            if let Ok(true) = disk.store(key, &delta, &writes, cost) {
-                self.inner.lock().expect("stage cache poisoned").disk_writes += 1;
-            }
-        }
-        fresh
-    }
-
-    /// Look up a per-node artifact by its namespaced node key tier by
-    /// tier — memory, then disk, then the remote fleet store — promoting
-    /// lower-tier hits into memory (remote hits also heal the local disk
-    /// tier). Counts node-tier hit/disk-hit/miss.
-    #[must_use]
-    pub fn lookup_node(&self, key: StageKey) -> Option<NodeHit> {
-        {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let found = inner.nodes.get_mut(&key).map(|e| {
-                e.last_used = tick;
-                Arc::clone(&e.artifact)
-            });
-            if let Some(artifact) = found {
-                inner.node_hits += 1;
-                return Some(NodeHit {
-                    artifact,
-                    from_disk: false,
-                    from_remote: false,
-                });
-            }
-            if self.disk.is_none() && self.remote.is_none() {
-                inner.node_misses += 1;
-                return None;
-            }
-        }
-        // Memory miss with lower tiers: read outside the lock, as with
-        // stage entries.
-        let mut disk_evicted = false;
-        if let Some(disk) = &self.disk {
-            match disk.load_node(key) {
-                crate::disk::NodeLoad::Hit(artifact) => {
-                    let artifact = Arc::new(artifact);
-                    let mut inner = self.inner.lock().expect("stage cache poisoned");
-                    inner.node_hits += 1;
-                    inner.node_disk_hits += 1;
-                    Self::promote_node(&mut inner, key, &artifact);
-                    return Some(NodeHit {
-                        artifact,
-                        from_disk: true,
-                        from_remote: false,
-                    });
-                }
-                crate::disk::NodeLoad::Evicted => disk_evicted = true,
-                crate::disk::NodeLoad::Miss => {}
-            }
-        }
-        if let Some(remote) = &self.remote {
-            let decoded = remote
-                .get_node(key)
-                .and_then(|bytes| crate::disk::decode_node_entry(&bytes));
-            if let Some(artifact) = decoded {
-                let artifact = Arc::new(artifact);
-                let healed = self
-                    .disk
-                    .as_ref()
-                    .is_some_and(|d| matches!(d.store_node(key, &artifact), Ok(true)));
-                let mut inner = self.inner.lock().expect("stage cache poisoned");
-                inner.node_hits += 1;
-                if disk_evicted {
-                    inner.disk_evictions += 1;
-                }
-                if healed {
-                    inner.node_disk_writes += 1;
-                }
-                Self::promote_node(&mut inner, key, &artifact);
-                return Some(NodeHit {
-                    artifact,
-                    from_disk: false,
-                    from_remote: true,
-                });
-            }
-        }
-        let mut inner = self.inner.lock().expect("stage cache poisoned");
-        inner.node_misses += 1;
-        if disk_evicted {
-            inner.disk_evictions += 1;
-        }
-        None
-    }
-
-    /// Insert `artifact` into the node memory tier under `key` (caller
-    /// holds the lock and has already accounted the hit).
-    fn promote_node(inner: &mut Inner, key: StageKey, artifact: &Arc<NodeArtifact>) {
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.nodes.insert(
+        self.insert_entry(
             key,
-            NodeEntry {
-                artifact: Arc::clone(artifact),
-                last_used: tick,
+            Entry::Stage {
+                delta: Arc::new(delta),
+                writes: Arc::new(writes),
+                cost,
             },
         );
-        Self::evict_nodes_over_capacity(inner);
     }
 
-    /// Insert a freshly computed per-node artifact under its node key,
-    /// writing through to the disk tier when one is attached. Re-inserts
-    /// of an existing key refresh recency (determinism makes the values
-    /// identical).
+    /// Insert a freshly computed per-node artifact under its node key:
+    /// [`StageCache::insert_entry`] for a node entry.
     pub fn insert_node(&self, key: StageKey, artifact: NodeArtifact) {
-        let artifact = Arc::new(artifact);
-        {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.nodes.insert(
-                key,
-                NodeEntry {
-                    artifact: Arc::clone(&artifact),
-                    last_used: tick,
-                },
-            );
-            Self::evict_nodes_over_capacity(&mut inner);
-        }
+        self.insert_entry(key, Entry::Node(Arc::new(artifact)));
+    }
+
+    /// The one insert: put `entry` into its kind's memory tier, evicting
+    /// the least-recently-used entry over the bound, then write it
+    /// through to the disk tier (atomically; an entry already on disk is
+    /// left untouched) and the remote tier. Inserting an existing key
+    /// refreshes it: deterministic stages make the value identical, so
+    /// last-writer-wins is safe under worker races. Returns `true` when
+    /// `key` was not resident in memory.
+    pub(crate) fn insert_entry(&self, key: StageKey, entry: Entry) -> bool {
+        let kind = entry.kind();
+        // One encoding serves both lower tiers: the exact `.cce` bytes,
+        // which the daemon validates with a disk read's totality.
+        let bytes = (self.disk.is_some() || self.remote.is_some())
+            .then(|| crate::disk::encode_entry(&entry, crate::disk::FORMAT_VERSION));
+        let fresh = self.lock().promote(key, entry);
+        let Some(bytes) = bytes else {
+            return fresh;
+        };
+        // Write-through outside the lock. A failed write degrades a tier
+        // to "smaller", never the run to "wrong".
         if let Some(disk) = &self.disk {
-            if let Ok(true) = disk.store_node(key, &artifact) {
-                self.inner
-                    .lock()
-                    .expect("stage cache poisoned")
-                    .node_disk_writes += 1;
+            if let Ok(true) = disk.write_entry(key, &bytes) {
+                self.lock().tiers[kind as usize].disk_writes += 1;
             }
         }
         if let Some(remote) = &self.remote {
-            let bytes =
-                crate::disk::encode_node_entry_with_version(&artifact, crate::disk::FORMAT_VERSION);
-            remote.put_node(key, bytes);
-        }
-    }
-
-    /// Insert a node entry received over the wire (the daemon side of a
-    /// `CachePutNode`): memory and disk tiers only, never forwarded to a
-    /// remote tier. Returns `true` when the key was not already resident
-    /// in memory.
-    pub fn insert_node_remote(&self, key: StageKey, artifact: NodeArtifact) -> bool {
-        let artifact = Arc::new(artifact);
-        let fresh = {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let fresh = inner
-                .nodes
-                .insert(
-                    key,
-                    NodeEntry {
-                        artifact: Arc::clone(&artifact),
-                        last_used: tick,
-                    },
-                )
-                .is_none();
-            Self::evict_nodes_over_capacity(&mut inner);
-            fresh
-        };
-        if let Some(disk) = &self.disk {
-            if let Ok(true) = disk.store_node(key, &artifact) {
-                self.inner
-                    .lock()
-                    .expect("stage cache poisoned")
-                    .node_disk_writes += 1;
-            }
+            remote.put(key, bytes);
         }
         fresh
-    }
-
-    fn evict_nodes_over_capacity(inner: &mut Inner) {
-        while inner.nodes.len() > inner.node_capacity.max(1) {
-            if let Some((&victim, _)) = inner.nodes.iter().min_by_key(|(_, e)| e.last_used) {
-                inner.nodes.remove(&victim);
-                inner.node_evictions += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn evict_over_capacity(inner: &mut Inner) {
-        while inner.map.len() > inner.capacity {
-            if let Some((&victim, _)) = inner.map.iter().min_by_key(|(_, e)| e.last_used) {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
-            } else {
-                break;
-            }
-        }
     }
 
     /// Current counters.
@@ -1119,38 +989,39 @@ impl StageCache {
             .as_ref()
             .map(|r| r.counters())
             .unwrap_or_default();
-        let inner = self.inner.lock().expect("stage cache poisoned");
+        let inner = self.lock();
+        let [stage, node] = &inner.tiers;
         CacheStats {
             remote_hits: remote.hits,
             remote_misses: remote.misses,
             remote_puts: remote.puts,
             remote_errors: remote.errors,
             remote_roundtrip: remote.roundtrip,
-            hits: inner.hits,
-            disk_hits: inner.disk_hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            disk_writes: inner.disk_writes,
+            hits: stage.hits,
+            disk_hits: stage.disk_hits,
+            misses: stage.misses,
+            evictions: stage.evictions,
+            disk_writes: stage.disk_writes,
             disk_evictions: inner.disk_evictions,
             disk_size_evictions: self.disk.as_ref().map_or(0, |d| d.size_evictions()),
-            entries: inner.map.len(),
+            entries: stage.map.len(),
             saved: inner.saved,
-            node_hits: inner.node_hits,
-            node_disk_hits: inner.node_disk_hits,
-            node_misses: inner.node_misses,
-            node_evictions: inner.node_evictions,
-            node_disk_writes: inner.node_disk_writes,
-            node_entries: inner.nodes.len(),
+            node_hits: node.hits,
+            node_disk_hits: node.disk_hits,
+            node_misses: node.misses,
+            node_evictions: node.evictions,
+            node_disk_writes: node.disk_writes,
+            node_entries: node.map.len(),
         }
     }
 
-    /// Number of resident in-memory entries.
+    /// Number of resident in-memory stage entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("stage cache poisoned").map.len()
+        self.lock().tiers[EntryKind::Stage as usize].map.len()
     }
 
-    /// `true` when no in-memory entry is resident.
+    /// `true` when no in-memory stage entry is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -1215,6 +1086,35 @@ mod tests {
         assert!(s.contains("hit"), "{s}");
         assert!(s.contains("entries"), "{s}");
         assert!(s.contains("disk"), "{s}");
+    }
+
+    #[test]
+    fn kind_mismatch_reads_as_a_miss_without_eviction() {
+        let vhdl = || NodeArtifact::Vhdl("entity probe is end;".to_string());
+        let cache = StageCache::new(4);
+        cache.insert_node(1, vhdl());
+        cache.insert(2, ArtifactDelta::default(), Vec::new(), ms(1));
+        assert!(cache.lookup(1).is_none());
+        assert!(cache.lookup_node(2).is_none());
+        assert!(cache.lookup_node(1).is_some(), "the node entry stays");
+        assert!(cache.lookup(2).is_some(), "the stage entry stays");
+
+        // The same through the disk tier of a fresh cache.
+        let dir = std::env::temp_dir().join(format!("cool-cache-kinds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let writer = StageCache::persistent(4, &dir).unwrap();
+        writer.insert_node(1, vhdl());
+        writer.insert(2, ArtifactDelta::default(), Vec::new(), ms(1));
+        let reader = StageCache::persistent(4, &dir).unwrap();
+        assert!(reader.lookup(1).is_none());
+        assert!(reader.lookup_node(2).is_none());
+        let stats = reader.stats();
+        assert_eq!((stats.misses, stats.node_misses), (1, 1));
+        assert_eq!(stats.disk_evictions, 0);
+        assert_eq!(reader.disk().unwrap().entry_count(), 2, "nothing evicted");
+        assert!(reader.lookup_node(1).is_some_and(|hit| hit.from_disk));
+        assert!(reader.lookup(2).is_some_and(|hit| hit.from_disk));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! The persistent tier of the stage cache: one file per cached stage
-//! execution in a `.cool-cache/` directory.
+//! The persistent tier of the stage cache: one file per cached entry —
+//! a stage execution or a per-node artifact — in a `.cool-cache/`
+//! directory.
 //!
 //! # Layout
 //!
-//! Every entry lives at `<dir>/<key>.cce` where `<key>` is the stage's
+//! Every entry lives at `<dir>/<key>.cce` where `<key>` is the entry's
 //! 128-bit content key in lower-case hex (32 characters). The file is:
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"COOLCCH\0"
-//! 8       4     format version (u32 LE, currently 2)
+//! 8       4     format version (u32 LE, currently 4)
 //! 12      16    slot-layout digest (u128 LE): FNV-1a 128 over the
 //!               ArtifactSlot names in index order, so a reordered or
 //!               renamed slot set reads as a mismatch even without a
@@ -19,7 +20,8 @@
 //! 36+n    16    FNV-1a 128 checksum of the payload (u128 LE)
 //! ```
 //!
-//! The payload starts with a one-byte **entry kind**:
+//! The payload starts with a one-byte **entry kind**
+//! ([`crate::cache::EntryKind`]):
 //!
 //! * kind `0` — a stage execution: `(cost_nanos: u64, writes:
 //!   Vec<(ArtifactSlot, u128)>, delta: ArtifactDelta)` with the
@@ -31,12 +33,13 @@
 //!   one HLS design, VHDL unit or STG fragment, cached one level below
 //!   stages so a spec edit only recomputes the dirty nodes.
 //!
-//! Stage and node entries share the directory and file format but live
-//! in disjoint key namespaces (DAG stage keys vs `cool-node-key/…`
-//! digests), so a kind can never legitimately appear under the other
-//! accessor's key; if it does ([`DiskStore::load`] /
-//! [`DiskStore::load_node`] finding the other kind) the read degrades
-//! to a miss and the entry is left alone.
+//! Stage and node entries share the directory, the file format and one
+//! validated read: [`DiskStore::load`] returns whichever kind it finds,
+//! and [`decode_entry`] — the same validation, for entry bytes from the
+//! wire — dispatches on the kind byte. The kinds live in disjoint key
+//! namespaces (DAG stage keys vs `cool-node-key/…` digests), so a kind
+//! can never legitimately appear under a key of the other kind; if it
+//! does, the cache reads it as a miss and leaves the entry alone.
 //!
 //! # Robustness
 //!
@@ -74,12 +77,13 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use cool_ir::codec::{from_bytes, Encoder};
+use cool_ir::codec::{from_bytes, to_bytes, Encoder};
 use cool_ir::ContentHasher;
 
-use crate::cache::{ArtifactDelta, ArtifactSlot, NodeArtifact, StageKey};
+use crate::cache::{ArtifactDelta, ArtifactSlot, Entry, EntryKind, NodeArtifact, StageKey};
 
 /// Entry file magic.
 const MAGIC: [u8; 8] = *b"COOLCCH\0";
@@ -98,9 +102,9 @@ const MAGIC: [u8; 8] = *b"COOLCCH\0";
 /// entries ([`crate::cache::NodeArtifact`]) joined the format.
 pub const FORMAT_VERSION: u32 = 4;
 /// Entry-kind byte of a stage execution.
-const KIND_STAGE: u8 = 0;
+const KIND_STAGE: u8 = EntryKind::Stage as u8;
 /// Entry-kind byte of a per-node artifact.
-const KIND_NODE: u8 = 1;
+const KIND_NODE: u8 = EntryKind::Node as u8;
 /// Entry file extension.
 const EXT: &str = "cce";
 /// Fixed header size: magic + version + layout digest + payload length.
@@ -126,33 +130,40 @@ const HINT_SYNC_INTERVAL: u64 = 16;
 /// What [`DiskStore::load`] found for a key.
 #[derive(Debug)]
 pub enum Load {
-    /// A valid entry.
+    /// A valid stage entry.
     Hit {
-        /// The artifacts to restore (boxed: a delta is large next to the
-        /// other variants).
-        delta: Box<ArtifactDelta>,
+        /// The artifacts to restore.
+        delta: Arc<ArtifactDelta>,
         /// Digests of the slots the delta fills.
-        writes: Vec<(ArtifactSlot, u128)>,
+        writes: Arc<Vec<(ArtifactSlot, u128)>>,
         /// Wall-clock the original execution took.
         cost: Duration,
     },
+    /// A valid node entry.
+    Node(Arc<NodeArtifact>),
     /// No entry for this key.
     Miss,
-    /// An entry existed but failed validation (corrupt, truncated, or a
-    /// different format version) and was evicted from the directory.
+    /// An entry existed but failed validation (corrupt, truncated, a
+    /// different format version or an unknown kind) and was evicted from
+    /// the directory.
     Evicted,
 }
 
-/// What [`DiskStore::load_node`] found for a node key.
-#[derive(Debug)]
-pub enum NodeLoad {
-    /// A valid node-level entry.
-    Hit(NodeArtifact),
-    /// No entry for this key (or a stage entry, which a node accessor
-    /// treats as a miss without evicting — see the module docs).
-    Miss,
-    /// An entry existed but failed validation and was evicted.
-    Evicted,
+impl From<Entry> for Load {
+    fn from(entry: Entry) -> Load {
+        match entry {
+            Entry::Stage {
+                delta,
+                writes,
+                cost,
+            } => Load::Hit {
+                delta,
+                writes,
+                cost,
+            },
+            Entry::Node(artifact) => Load::Node(artifact),
+        }
+    }
 }
 
 /// Read-only census of a store's entry files by kind, as reported by
@@ -347,9 +358,8 @@ impl DiskStore {
         self.dir.join(format!("{key:032x}.{EXT}"))
     }
 
-    /// Serialize one stage execution under `key`. Returns `Ok(false)`
-    /// without touching the filesystem when the entry already exists
-    /// (stage determinism makes rewrites pointless).
+    /// Serialize one stage execution under `key`: [`encode_entry_with_version`]
+    /// at [`FORMAT_VERSION`], written by [`DiskStore::write_entry`].
     ///
     /// # Errors
     ///
@@ -366,23 +376,17 @@ impl DiskStore {
         self.write_entry(key, &file)
     }
 
-    /// Serialize one per-node artifact under its (namespaced) node key.
-    /// Returns `Ok(false)` without touching the filesystem when the
-    /// entry already exists.
+    /// Atomically (tmp + rename) write one complete entry file of either
+    /// kind — as [`encode_entry`] produces it or [`decode_entry`]
+    /// accepted it. Returns `Ok(false)` without touching the filesystem
+    /// when the key already has an entry (determinism makes rewrites
+    /// pointless).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from writing or renaming the entry; callers
     /// may treat them as "disk tier unavailable" and continue.
-    pub fn store_node(&self, key: StageKey, artifact: &NodeArtifact) -> io::Result<bool> {
-        let file = encode_node_entry_with_version(artifact, FORMAT_VERSION);
-        self.write_entry(key, &file)
-    }
-
-    /// Atomically (tmp + rename) write an encoded entry file, skipping
-    /// keys that already have one — shared by [`DiskStore::store`] and
-    /// [`DiskStore::store_node`].
-    fn write_entry(&self, key: StageKey, file: &[u8]) -> io::Result<bool> {
+    pub(crate) fn write_entry(&self, key: StageKey, file: &[u8]) -> io::Result<bool> {
         let path = self.entry_path(key);
         if path.exists() {
             return Ok(false);
@@ -420,9 +424,10 @@ impl DiskStore {
         }
     }
 
-    /// Read and validate the entry for `key`. Anything that is not a
-    /// byte-perfect current-version entry is a miss; invalid entries are
-    /// additionally evicted from the directory ([`Load::Evicted`]).
+    /// Read and validate the entry for `key`, whatever its kind, with
+    /// [`decode_entry`]. Anything that is not a byte-perfect
+    /// current-version entry is a miss; invalid entries are additionally
+    /// evicted from the directory ([`Load::Evicted`]).
     #[must_use]
     pub fn load(&self, key: StageKey) -> Load {
         let path = self.entry_path(key);
@@ -443,64 +448,14 @@ impl DiskStore {
                 };
             }
         };
-        match split_entry(&bytes) {
-            Some((KIND_STAGE, body)) => match decode_stage_body(body) {
-                Some((delta, writes, cost)) => {
-                    Self::touch(&path);
-                    Load::Hit {
-                        delta: Box::new(delta),
-                        writes,
-                        cost,
-                    }
-                }
-                None => {
-                    let _ = fs::remove_file(&path);
-                    Load::Evicted
-                }
-            },
-            // A valid entry of the other kind: a key-namespace violation
-            // that cannot arise from our own writers. Leave it alone and
-            // miss, rather than evicting someone's valid entry.
-            Some((KIND_NODE, _)) => Load::Miss,
-            _ => {
+        match decode_entry(&bytes) {
+            Some(entry) => {
+                Self::touch(&path);
+                entry.into()
+            }
+            None => {
                 let _ = fs::remove_file(&path);
                 Load::Evicted
-            }
-        }
-    }
-
-    /// Read and validate the node-level entry for `key`. Junk degrades
-    /// to a miss (the node is recomputed), never a panic; invalid
-    /// entries are evicted so the recompute can rewrite them.
-    #[must_use]
-    pub fn load_node(&self, key: StageKey) -> NodeLoad {
-        let path = self.entry_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return NodeLoad::Miss,
-            Err(_) => {
-                return if fs::remove_file(&path).is_ok() {
-                    NodeLoad::Evicted
-                } else {
-                    NodeLoad::Miss
-                };
-            }
-        };
-        match split_entry(&bytes) {
-            Some((KIND_NODE, body)) => match from_bytes::<NodeArtifact>(body) {
-                Ok(artifact) => {
-                    Self::touch(&path);
-                    NodeLoad::Hit(artifact)
-                }
-                Err(_) => {
-                    let _ = fs::remove_file(&path);
-                    NodeLoad::Evicted
-                }
-            },
-            Some((KIND_STAGE, _)) => NodeLoad::Miss,
-            _ => {
-                let _ = fs::remove_file(&path);
-                NodeLoad::Evicted
             }
         }
     }
@@ -522,16 +477,11 @@ impl DiskStore {
     pub fn kind_counts(&self) -> KindCounts {
         let mut counts = KindCounts::default();
         for path in self.entry_files() {
-            let Ok(bytes) = fs::read(&path) else {
-                counts.invalid += 1;
-                continue;
-            };
-            match split_entry(&bytes) {
-                Some((KIND_STAGE, body)) if decode_stage_body(body).is_some() => counts.stage += 1,
-                Some((KIND_NODE, body)) if from_bytes::<NodeArtifact>(body).is_ok() => {
-                    counts.node += 1;
-                }
-                _ => counts.invalid += 1,
+            let entry = fs::read(&path).ok().and_then(|bytes| decode_entry(&bytes));
+            match entry.as_ref().map(Entry::kind) {
+                Some(EntryKind::Stage) => counts.stage += 1,
+                Some(EntryKind::Node) => counts.node += 1,
+                None => counts.invalid += 1,
             }
         }
         counts
@@ -631,7 +581,10 @@ fn split_entry(bytes: &[u8]) -> Option<(u8, &[u8])> {
     }
     let payload_len = u64::from_le_bytes(bytes[28..36].try_into().ok()?);
     let payload_len = usize::try_from(payload_len).ok()?;
-    if bytes.len() != HEADER + payload_len + CHECKSUM {
+    // `bytes` holds at least a header and a checksum (checked above), so
+    // this cannot underflow — while a hostile length field could make
+    // `HEADER + payload_len + CHECKSUM` overflow.
+    if bytes.len() - HEADER - CHECKSUM != payload_len {
         return None;
     }
     let payload = &bytes[HEADER..HEADER + payload_len];
@@ -650,27 +603,33 @@ fn decode_stage_body(body: &[u8]) -> Option<DecodedEntry> {
     Some((delta, writes, Duration::from_nanos(cost_nanos)))
 }
 
-/// Validate and decode one complete *stage* entry file — the exact bytes
-/// [`DiskStore::store`] writes and the remote-cache protocol carries —
-/// with the same totality as [`DiskStore::load`]: magic, version, layout
-/// digest, length, checksum, entry kind and body must all validate.
-/// `None` on any malformation (including a valid entry of the node
-/// kind).
+/// The one entry decoder: validate and decode one complete entry file of
+/// either kind — the exact bytes [`DiskStore::load`] reads and the
+/// remote-cache protocol carries. Magic, version, layout digest, length,
+/// checksum, kind byte and body must all validate; `None` on any
+/// malformation.
 #[must_use]
-pub fn decode_stage_entry(bytes: &[u8]) -> Option<DecodedEntry> {
-    match split_entry(bytes) {
-        Some((KIND_STAGE, body)) => decode_stage_body(body),
+pub fn decode_entry(bytes: &[u8]) -> Option<Entry> {
+    match split_entry(bytes)? {
+        (KIND_STAGE, body) => {
+            let (delta, writes, cost) = decode_stage_body(body)?;
+            Some(Entry::Stage {
+                delta: Arc::new(delta),
+                writes: Arc::new(writes),
+                cost,
+            })
+        }
+        (KIND_NODE, body) => Some(Entry::Node(Arc::new(from_bytes(body).ok()?))),
         _ => None,
     }
 }
 
-/// Validate and decode one complete *node* entry file, with the same
-/// totality as [`DiskStore::load_node`]. `None` on any malformation
-/// (including a valid entry of the stage kind).
+/// [`decode_entry`] for a stage entry, returning its owned parts. `None`
+/// on any malformation, including a valid entry of the node kind.
 #[must_use]
-pub fn decode_node_entry(bytes: &[u8]) -> Option<NodeArtifact> {
-    match split_entry(bytes) {
-        Some((KIND_NODE, body)) => from_bytes::<NodeArtifact>(body).ok(),
+pub fn decode_stage_entry(bytes: &[u8]) -> Option<DecodedEntry> {
+    match split_entry(bytes)? {
+        (KIND_STAGE, body) => decode_stage_body(body),
         _ => None,
     }
 }
@@ -691,9 +650,22 @@ fn encode_file(kind: u8, body: &[u8], version: u32) -> Vec<u8> {
     file
 }
 
-/// Encode one complete stage entry file. [`DiskStore::store`] writes
-/// these with [`FORMAT_VERSION`]; tests pass other versions to fabricate
+/// Encode one complete entry file of either kind. The cache writes these
+/// with [`FORMAT_VERSION`]; tests pass other versions to fabricate
 /// version-bumped files in the otherwise-identical layout.
+#[must_use]
+pub fn encode_entry(entry: &Entry, version: u32) -> Vec<u8> {
+    match entry {
+        Entry::Stage {
+            delta,
+            writes,
+            cost,
+        } => encode_entry_with_version(delta, writes, *cost, version),
+        Entry::Node(artifact) => encode_file(KIND_NODE, &to_bytes(artifact.as_ref()), version),
+    }
+}
+
+/// [`encode_entry`] for a stage entry given by its parts.
 #[must_use]
 pub fn encode_entry_with_version(
     delta: &ArtifactDelta,
@@ -706,13 +678,6 @@ pub fn encode_entry_with_version(
     body.put(&writes.to_vec());
     body.put(delta);
     encode_file(KIND_STAGE, &body.into_bytes(), version)
-}
-
-/// Encode one complete node-level entry file; the test battery uses
-/// non-current `version`s to fabricate stale node entries.
-#[must_use]
-pub fn encode_node_entry_with_version(artifact: &NodeArtifact, version: u32) -> Vec<u8> {
-    encode_file(KIND_NODE, &cool_ir::codec::to_bytes(artifact), version)
 }
 
 #[cfg(test)]
@@ -751,7 +716,7 @@ mod tests {
                 cost: c,
             } => {
                 assert_eq!(delta.slot_count(), 0);
-                assert_eq!(w, writes);
+                assert_eq!(*w, writes);
                 assert_eq!(c, cost);
             }
             other => panic!("expected hit, got {other:?}"),
@@ -939,56 +904,57 @@ mod tests {
         })
     }
 
+    fn node_entry_bytes(version: u32) -> Vec<u8> {
+        encode_entry(&Entry::Node(Arc::new(sample_artifact())), version)
+    }
+
     #[test]
-    fn node_entries_roundtrip_and_keep_their_kind() {
+    fn both_kinds_roundtrip_through_the_one_read() {
         let dir = temp_dir("node-roundtrip");
         let store = DiskStore::open(&dir).unwrap();
-        let artifact = sample_artifact();
-        assert!(store.store_node(11, &artifact).unwrap());
-        assert!(!store.store_node(11, &artifact).unwrap(), "no rewrite");
-        match store.load_node(11) {
-            NodeLoad::Hit(back) => assert_eq!(back, artifact),
+        let node = node_entry_bytes(FORMAT_VERSION);
+        assert!(store.write_entry(11, &node).unwrap());
+        assert!(!store.write_entry(11, &node).unwrap(), "no rewrite");
+        match store.load(11) {
+            Load::Node(back) => assert_eq!(*back, sample_artifact()),
             other => panic!("expected node hit, got {other:?}"),
         }
-        assert!(matches!(store.load_node(12), NodeLoad::Miss));
-        // The stage accessor must treat the (valid) node entry as a
-        // miss without evicting it, and vice versa.
-        assert!(matches!(store.load(11), Load::Miss));
-        match store.load_node(11) {
-            NodeLoad::Hit(_) => {}
-            other => panic!("stage accessor must not evict node entries: {other:?}"),
-        }
+        assert!(matches!(store.load(12), Load::Miss));
         store
             .store(13, &ArtifactDelta::default(), &[], Duration::ZERO)
             .unwrap();
-        assert!(matches!(store.load_node(13), NodeLoad::Miss));
         assert!(matches!(store.load(13), Load::Hit { .. }));
+        // A read never evicts a valid entry of either kind (a kind
+        // mismatch is the cache's miss to call).
+        assert!(matches!(store.load(11), Load::Node(_)));
+        assert_eq!(store.entry_count(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn junk_node_entries_degrade_to_misses() {
+    fn junk_node_entries_are_evicted() {
         let dir = temp_dir("node-junk");
         let store = DiskStore::open(&dir).unwrap();
         // Truncated node entry.
-        let good = encode_node_entry_with_version(&sample_artifact(), FORMAT_VERSION);
+        let good = node_entry_bytes(FORMAT_VERSION);
         fs::write(store.entry_path(21), &good[..good.len() / 2]).unwrap();
-        assert!(matches!(store.load_node(21), NodeLoad::Evicted));
-        assert!(matches!(store.load_node(21), NodeLoad::Miss));
+        assert!(matches!(store.load(21), Load::Evicted));
+        assert!(matches!(store.load(21), Load::Miss));
         // Stale-version node entry.
-        let old = encode_node_entry_with_version(&sample_artifact(), FORMAT_VERSION - 1);
+        let old = node_entry_bytes(FORMAT_VERSION - 1);
         fs::write(store.entry_path(22), &old).unwrap();
-        assert!(matches!(store.load_node(22), NodeLoad::Evicted));
+        assert!(matches!(store.load(22), Load::Evicted));
         // Bit flip inside the body.
-        let mut bytes = encode_node_entry_with_version(&sample_artifact(), FORMAT_VERSION);
+        let mut bytes = node_entry_bytes(FORMAT_VERSION);
         let mid = HEADER + 3;
         bytes[mid] ^= 0x20;
         fs::write(store.entry_path(23), &bytes).unwrap();
-        assert!(matches!(store.load_node(23), NodeLoad::Evicted));
+        assert!(matches!(store.load(23), Load::Evicted));
         // Unknown entry kind.
         let alien = encode_file(9, b"payload from the future", FORMAT_VERSION);
         fs::write(store.entry_path(24), &alien).unwrap();
-        assert!(matches!(store.load_node(24), NodeLoad::Evicted));
+        assert!(matches!(store.load(24), Load::Evicted));
+        assert_eq!(store.entry_count(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -999,8 +965,12 @@ mod tests {
         store
             .store(1, &ArtifactDelta::default(), &[], Duration::ZERO)
             .unwrap();
-        store.store_node(2, &sample_artifact()).unwrap();
-        store.store_node(3, &sample_artifact()).unwrap();
+        store
+            .write_entry(2, &node_entry_bytes(FORMAT_VERSION))
+            .unwrap();
+        store
+            .write_entry(3, &node_entry_bytes(FORMAT_VERSION))
+            .unwrap();
         fs::write(store.entry_path(4), b"garbage").unwrap();
         let counts = store.kind_counts();
         assert_eq!(

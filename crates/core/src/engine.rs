@@ -214,145 +214,147 @@ impl Engine {
     ) -> Result<FlowTrace, FlowError> {
         let reached = |cx: &FlowContext<'_>| stop_after.is_some_and(|slot| slot.is_filled(cx));
         let mut trace = FlowTrace::new();
-        let Some(cache) = self.cache.as_ref() else {
-            for stage in &self.stages {
-                if reached(cx) {
-                    break;
-                }
-                let before = ArtifactFlags::of(cx);
-                let t0 = Instant::now();
-                stage.run(cx)?;
-                let outcome = if pre_seeded(&**stage, before) {
-                    CacheOutcome::Seeded
-                } else {
-                    CacheOutcome::Uncached
-                };
-                trace.push_outcome(stage.name(), t0.elapsed(), outcome);
-            }
-            collect_warnings(&mut trace, cx);
-            return Ok(trace);
-        };
-
-        // Hand the stages the node-level cache tier: per-node artifacts
-        // (HLS designs, STG fragments, hardware VHDL units) survive even
-        // when a graph edit invalidates every stage-level key, so a warm
-        // edit re-synthesizes only the dirty nodes.
-        cx.node_cache = Some(cache.clone());
-
-        let graph_digest = {
+        // Only a run with a cache keys its stages: without one, the loop
+        // computes no stage key and no slot digest.
+        let mut keyed = self.cache.as_ref().map(|cache| {
+            // Hand the stages the node-level cache tier: per-node
+            // artifacts (HLS designs, STG fragments, hardware VHDL units)
+            // survive even when a graph edit invalidates every
+            // stage-level key, so a warm edit re-synthesizes only the
+            // dirty nodes.
+            cx.node_cache = Some(cache.clone());
             let mut h = ContentHasher::new();
             cx.graph.content_hash(&mut h);
-            h.finish()
-        };
-        // Digests of every filled slot, covering pre-seeded artifacts
-        // (e.g. `FlowContext::with_cost` cost models) from the start.
-        let mut digests = cache::slot_digests(cx);
+            Keyed {
+                cache,
+                graph_digest: h.finish(),
+                // Digests of every filled slot, covering pre-seeded
+                // artifacts (e.g. `FlowContext::with_cost` cost models)
+                // from the start.
+                digests: cache::slot_digests(cx),
+            }
+        });
 
         for stage in &self.stages {
             if reached(cx) {
                 break;
             }
-            let Some(key) = stage
-                .cache_key(cx)
-                .map(|local| stage_key(graph_digest, &**stage, local, &digests))
-            else {
-                // Uncacheable stage: run it, then rebuild the digest
-                // table from scratch — downstream keys cover artifact
-                // *content*, so they stay sound (and cacheable) even if
-                // this stage mutated filled slots in place (which
-                // uncacheable stages are allowed to do).
-                let t0 = Instant::now();
-                stage.run(cx)?;
-                let nodes = take_node_delta(cx, stage.name());
-                trace.push_record(stage.name(), t0.elapsed(), CacheOutcome::Uncached, nodes);
-                digests = cache::slot_digests(cx);
-                continue;
-            };
+            let key = keyed.as_ref().and_then(|k| {
+                let local = stage.cache_key(cx)?;
+                Some(stage_key(k.graph_digest, &**stage, local, &k.digests))
+            });
             let t0 = Instant::now();
-            if let Some(hit) = cache.lookup(key) {
-                hit.delta.apply(cx);
-                for &(slot, d) in hit.writes.iter() {
-                    digests[slot.index()] = Some(d);
+            if let (Some(k), Some(key)) = (&mut keyed, key) {
+                if let Some(hit) = k.cache.lookup(key) {
+                    hit.delta.apply(cx);
+                    for &(slot, d) in hit.writes.iter() {
+                        k.digests[slot.index()] = Some(d);
+                    }
+                    let outcome = if hit.from_remote {
+                        CacheOutcome::RemoteHit { saved: hit.saved }
+                    } else if hit.from_disk {
+                        CacheOutcome::DiskHit { saved: hit.saved }
+                    } else {
+                        CacheOutcome::Hit { saved: hit.saved }
+                    };
+                    trace.push(stage.name(), t0.elapsed(), outcome, None);
+                    continue;
                 }
-                let outcome = if hit.from_remote {
-                    CacheOutcome::RemoteHit { saved: hit.saved }
-                } else if hit.from_disk {
-                    CacheOutcome::DiskHit { saved: hit.saved }
-                } else {
-                    CacheOutcome::Hit { saved: hit.saved }
-                };
-                trace.push_outcome(stage.name(), t0.elapsed(), outcome);
-                continue;
             }
             let before = ArtifactFlags::of(cx);
             let t0 = Instant::now();
             stage.run(cx)?;
             let elapsed = t0.elapsed();
             let nodes = take_node_delta(cx, stage.name());
-            let writes = cache::update_slot_digests(cx, before, &mut digests);
-            // A cacheable stage must only fill empty slots — an in-place
-            // mutation would be invisible to the delta and leave stale
-            // digests. Re-hashing everything per stage is too costly for
-            // release builds, so the contract is enforced mechanically
-            // in debug builds (i.e. under `cargo test`).
-            #[cfg(debug_assertions)]
-            if let Some(slot) = cache::find_mutated_slot(cx, before, &digests) {
-                panic!(
-                    "stage `{}` mutated the already-filled artifact slot `{slot}` \
-                     but returned Some from cache_key; stages that mutate \
-                     artifacts in place must return None (see Stage::cache_key)",
-                    stage.name(),
-                );
-            }
-            // A write outside the declared set means the declarations are
-            // wrong; refuse to cache rather than risk serving an entry
-            // keyed on an incomplete read set. Like the mutated-slot
-            // check above, debug builds turn the broken declaration into
-            // a panic instead of a silent permanent cache miss.
-            let undeclared = writes.iter().find(|(s, _)| !stage.writes().contains(s));
-            #[cfg(debug_assertions)]
-            if let Some((slot, _)) = undeclared {
-                panic!(
-                    "stage `{}` filled the artifact slot `{}` without declaring it \
-                     in Stage::writes(); fix the declaration (and check reads() \
-                     matches what the stage consumes)",
-                    stage.name(),
-                    slot.name(),
-                );
-            }
-            // A node-limit-truncated partition is not a deterministic
-            // function of the stage's inputs: under `jobs > 1` which
-            // subtrees the budget reached — and hence the incumbent at
-            // truncation — depends on worker scheduling, and `jobs` is
-            // deliberately outside every cache key. Caching it would pin
-            // one scheduling accident as *the* result for this key, so
-            // truncated solves are recomputed instead (they cost at most
-            // the node budget the caller chose).
-            let truncated_partition = writes
-                .iter()
-                .any(|&(slot, _)| slot == ArtifactSlot::Partition)
-                && cx
-                    .partition
-                    .as_ref()
-                    .is_some_and(|p| p.optimality == cool_partition::Optimality::LimitReached);
             let seeded = pre_seeded(&**stage, before);
-            // A pre-seeded pass-through deposited nothing: there is no
-            // delta worth an LRU slot or a disk-tier file, and warm runs
-            // re-running the (free) pass-through is strictly cheaper
-            // than restoring an empty entry.
-            if undeclared.is_none() && !truncated_partition && !seeded {
-                cache.insert(key, ArtifactDelta::capture(cx, before), writes, elapsed);
-            }
-            let outcome = if seeded {
-                CacheOutcome::Seeded
-            } else {
-                CacheOutcome::Miss
+            let outcome = match (&mut keyed, key) {
+                (None, _) if seeded => CacheOutcome::Seeded,
+                (None, _) => CacheOutcome::Uncached,
+                // Uncacheable stage under a cache: rebuild the digest
+                // table from scratch — downstream keys cover artifact
+                // *content*, so they stay sound (and cacheable) even if
+                // this stage mutated filled slots in place (which
+                // uncacheable stages are allowed to do).
+                (Some(k), None) => {
+                    k.digests = cache::slot_digests(cx);
+                    CacheOutcome::Uncached
+                }
+                (Some(k), Some(key)) => {
+                    let writes = cache::update_slot_digests(cx, before, &mut k.digests);
+                    // A cacheable stage must only fill empty slots — an in-place
+                    // mutation would be invisible to the delta and leave stale
+                    // digests. Re-hashing everything per stage is too costly for
+                    // release builds, so the contract is enforced mechanically
+                    // in debug builds (i.e. under `cargo test`).
+                    #[cfg(debug_assertions)]
+                    if let Some(slot) = cache::find_mutated_slot(cx, before, &k.digests) {
+                        panic!(
+                            "stage `{}` mutated the already-filled artifact slot `{slot}` \
+                             but returned Some from cache_key; stages that mutate \
+                             artifacts in place must return None (see Stage::cache_key)",
+                            stage.name(),
+                        );
+                    }
+                    // A write outside the declared set means the declarations are
+                    // wrong; refuse to cache rather than risk serving an entry
+                    // keyed on an incomplete read set. Like the mutated-slot
+                    // check above, debug builds turn the broken declaration into
+                    // a panic instead of a silent permanent cache miss.
+                    let undeclared = writes.iter().find(|(s, _)| !stage.writes().contains(s));
+                    #[cfg(debug_assertions)]
+                    if let Some((slot, _)) = undeclared {
+                        panic!(
+                            "stage `{}` filled the artifact slot `{}` without declaring it \
+                             in Stage::writes(); fix the declaration (and check reads() \
+                             matches what the stage consumes)",
+                            stage.name(),
+                            slot.name(),
+                        );
+                    }
+                    // A node-limit-truncated partition is not a deterministic
+                    // function of the stage's inputs: under `jobs > 1` which
+                    // subtrees the budget reached — and hence the incumbent at
+                    // truncation — depends on worker scheduling, and `jobs` is
+                    // deliberately outside every cache key. Caching it would pin
+                    // one scheduling accident as *the* result for this key, so
+                    // truncated solves are recomputed instead (they cost at most
+                    // the node budget the caller chose).
+                    let truncated_partition = writes
+                        .iter()
+                        .any(|&(slot, _)| slot == ArtifactSlot::Partition)
+                        && cx.partition.as_ref().is_some_and(|p| {
+                            p.optimality == cool_partition::Optimality::LimitReached
+                        });
+                    // A pre-seeded pass-through deposited nothing: there is no
+                    // delta worth an LRU slot or a disk-tier file, and warm runs
+                    // re-running the (free) pass-through is strictly cheaper
+                    // than restoring an empty entry.
+                    if seeded {
+                        CacheOutcome::Seeded
+                    } else {
+                        if undeclared.is_none() && !truncated_partition {
+                            let delta = ArtifactDelta::capture(cx, before);
+                            k.cache.insert(key, delta, writes, elapsed);
+                        }
+                        CacheOutcome::Miss
+                    }
+                }
             };
-            trace.push_record(stage.name(), elapsed, outcome, nodes);
+            trace.push(stage.name(), elapsed, outcome, nodes);
         }
         collect_warnings(&mut trace, cx);
         Ok(trace)
     }
+}
+
+/// The cache side of one engine run: the cache and the inputs of the
+/// dependency-DAG stage keys, maintained incrementally — computed from
+/// the artifacts after each executed stage, restored from the cache
+/// entry on each hit.
+struct Keyed<'c> {
+    cache: &'c StageCache,
+    graph_digest: u128,
+    digests: SlotDigests,
 }
 
 /// `true` when the stage ran as a pre-seeded pass-through: every slot it

@@ -112,7 +112,7 @@ pub mod timing;
 
 pub use artifacts::FlowArtifacts;
 pub use cache::{ArtifactSlot, CacheStats, NodeArtifact, NodeHit, StageCache};
-pub use disk::{DiskStore, KindCounts, NodeLoad};
+pub use disk::{DiskStore, KindCounts};
 pub use engine::Engine;
 pub use error::FlowError;
 pub use remote::{RemoteCounters, RemoteStore};

@@ -2,11 +2,12 @@
 //! non-failing client for the cache verbs of the `coold` protocol.
 //!
 //! A [`RemoteStore`] turns one `coold` daemon into a shared
-//! content-addressed store for a fleet of sweep workers: gets and puts
-//! carry the exact versioned/checksummed entry bytes the
-//! [`crate::disk::DiskStore`] format defines, so both ends validate
-//! payloads with the same totality and a remote hit re-materializes to a
-//! byte-identical local `.cce` entry.
+//! content-addressed store for a fleet of sweep workers. It has one get
+//! ([`RemoteStore::get_stage`]) and one put ([`RemoteStore::put`]) for
+//! both entry kinds: each carries the exact versioned/checksummed entry
+//! bytes the [`crate::disk::DiskStore`] format defines, kind byte
+//! included, so both ends validate payloads with the same totality and a
+//! remote hit re-materializes to a byte-identical local `.cce` entry.
 //!
 //! Every operation is **non-failing by design**: an unreachable or hung
 //! daemon makes the operation report "nothing found" / "nothing stored"
@@ -17,8 +18,7 @@
 //! wedge a sweep worker.
 
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::server::{Client, ServeError};
@@ -52,11 +52,7 @@ pub struct RemoteStore {
     /// `Some(message)` while an outage streak is in progress — the warn
     /// already happened; reset to `None` by the next success.
     outage: Mutex<Option<String>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    errors: AtomicU64,
-    roundtrip_nanos: AtomicU64,
+    counters: Mutex<RemoteCounters>,
 }
 
 impl RemoteStore {
@@ -75,11 +71,7 @@ impl RemoteStore {
             addr: addr.into(),
             conn: Mutex::new(None),
             outage: Mutex::new(None),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            roundtrip_nanos: AtomicU64::new(0),
+            counters: Mutex::default(),
         }
     }
 
@@ -89,80 +81,41 @@ impl RemoteStore {
         &self.addr
     }
 
-    /// Fetch a stage entry's raw bytes. `None` on miss *or* on any
-    /// network failure (the flow must not distinguish them).
+    /// Fetch the raw bytes of the entry under `key`, whatever its kind:
+    /// the kind byte travels inside the entry, and the caller's decoder
+    /// checks it. `None` on miss *or* on any network failure (the flow
+    /// must not distinguish them).
     #[must_use]
     pub fn get_stage(&self, key: u128) -> Option<Vec<u8>> {
-        self.get(key, "get", |client, key| client.cache_get_stage(key))
+        let bytes = self.roundtrip("get", |client| client.cache_get(key))?;
+        let mut counters = self.count();
+        if bytes.is_some() {
+            counters.hits += 1;
+        } else {
+            counters.misses += 1;
+        }
+        bytes
     }
 
-    /// Fetch a node-tier entry's raw bytes (same degradation contract as
-    /// [`RemoteStore::get_stage`]).
-    #[must_use]
-    pub fn get_node(&self, key: u128) -> Option<Vec<u8>> {
-        self.get(key, "node get", |client, key| client.cache_get_node(key))
-    }
-
-    /// Offer a stage entry to the daemon. Best-effort: a failure is
-    /// counted and warned about, never surfaced.
-    pub fn put_stage(&self, key: u128, bytes: Vec<u8>) {
-        self.put(key, bytes, "put", |client, key, bytes| {
-            client.cache_put_stage(key, bytes)
-        });
-    }
-
-    /// Offer a node-tier entry to the daemon (same contract as
-    /// [`RemoteStore::put_stage`]).
-    pub fn put_node(&self, key: u128, bytes: Vec<u8>) {
-        self.put(key, bytes, "node put", |client, key, bytes| {
-            client.cache_put_node(key, bytes)
-        });
+    /// Offer one entry of either kind to the daemon. Best-effort: a
+    /// failure is counted and warned about, never surfaced.
+    pub fn put(&self, key: u128, bytes: Vec<u8>) {
+        if self
+            .roundtrip("put", |client| client.cache_put(key, bytes))
+            .is_some()
+        {
+            self.count().puts += 1;
+        }
     }
 
     /// Snapshot of the accumulated counters.
     #[must_use]
     pub fn counters(&self) -> RemoteCounters {
-        RemoteCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            roundtrip: Duration::from_nanos(self.roundtrip_nanos.load(Ordering::Relaxed)),
-        }
+        *self.count()
     }
 
-    fn get(
-        &self,
-        key: u128,
-        op: &str,
-        call: impl Fn(&mut Client, u128) -> Result<Option<Vec<u8>>, ServeError>,
-    ) -> Option<Vec<u8>> {
-        match self.roundtrip(op, |client| call(client, key)) {
-            Some(Some(bytes)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
-            }
-            Some(None) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => None,
-        }
-    }
-
-    fn put(
-        &self,
-        key: u128,
-        bytes: Vec<u8>,
-        op: &str,
-        call: impl Fn(&mut Client, u128, Vec<u8>) -> Result<bool, ServeError>,
-    ) {
-        if self
-            .roundtrip(op, |client| call(client, key, bytes))
-            .is_some()
-        {
-            self.puts.fetch_add(1, Ordering::Relaxed);
-        }
+    fn count(&self) -> MutexGuard<'_, RemoteCounters> {
+        self.counters.lock().expect("remote store poisoned")
     }
 
     /// Run `call` against the pooled connection (dialing if needed),
@@ -176,29 +129,21 @@ impl RemoteStore {
         let start = Instant::now();
         let result = {
             let mut conn = self.conn.lock().expect("remote store poisoned");
-            if conn.is_none() {
-                match self.dial() {
-                    Ok(client) => *conn = Some(client),
-                    Err(e) => {
-                        drop(conn);
-                        self.note_error(op, &e.to_string());
-                        self.roundtrip_nanos
-                            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        return None;
+            match conn.take().map_or_else(|| self.dial(), Ok) {
+                Ok(mut client) => {
+                    let result = call(&mut client);
+                    // Keep the stream only on success: after a failure the
+                    // framing may be desynchronized, and a dead daemon
+                    // should be redialed, not retried.
+                    if result.is_ok() {
+                        *conn = Some(client);
                     }
+                    result
                 }
+                Err(e) => Err(ServeError::Io(e)),
             }
-            let client = conn.as_mut().expect("dialed above");
-            let result = call(client);
-            if result.is_err() {
-                // Drop the stream: the framing may be desynchronized, and
-                // a dead daemon should be redialed, not retried.
-                *conn = None;
-            }
-            result
         };
-        self.roundtrip_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.count().roundtrip += start.elapsed();
         match result {
             Ok(value) => {
                 *self.outage.lock().expect("remote store poisoned") = None;
@@ -225,7 +170,7 @@ impl RemoteStore {
 
     /// Count the error and warn on stderr once per outage streak.
     fn note_error(&self, op: &str, message: &str) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.count().errors += 1;
         let mut outage = self.outage.lock().expect("remote store poisoned");
         if outage.is_none() {
             eprintln!(
@@ -248,7 +193,7 @@ mod tests {
         // typical CI hosts; either way the op must degrade, not panic.
         let store = RemoteStore::new("127.0.0.1:9");
         assert!(store.get_stage(1).is_none());
-        store.put_stage(2, vec![1, 2, 3]);
+        store.put(2, vec![1, 2, 3]);
         let c = store.counters();
         assert_eq!((c.hits, c.misses, c.puts), (0, 0, 0));
         assert_eq!(c.errors, 2);

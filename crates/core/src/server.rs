@@ -26,6 +26,13 @@
 //! The wire codecs, by contrast, carry **every** knob verbatim: a served
 //! request must run with exactly the options the client sent.
 //!
+//! The daemon is also the remote tier of other processes' caches:
+//! [`Request::CacheGet`] and [`Request::CachePut`] carry raw `.cce`
+//! entry bytes of either kind (the kind byte travels inside the entry),
+//! and [`Request::CacheStats`] reports the store.  A daemon's own cache
+//! never has a remote tier — [`Server::bind`] refuses one — so daemons
+//! never chain.
+//!
 //! Protocol: each request is one frame holding a [`Request`]; each reply
 //! is one frame holding a [`Response`].  A connection may pipeline any
 //! number of request/response pairs; a clean client close (EOF between
@@ -111,20 +118,16 @@ pub enum Request {
     /// Ask the daemon to stop accepting connections and exit its accept
     /// loop once in-flight work drains.
     Shutdown,
-    /// Fetch the stage-cache entry for a key from the daemon's store, as
-    /// raw entry-file bytes (the exact format [`crate::DiskStore`]
-    /// writes).
-    CacheGetStage(u128),
-    /// Offer a stage-cache entry to the daemon's store.  The payload is
-    /// one complete entry file; the daemon validates version, layout
-    /// digest and checksum with the same totality as a disk read and
-    /// rejects anything malformed without storing it.
-    CachePutStage(u128, Vec<u8>),
-    /// Fetch the node-tier entry for a key, as raw entry-file bytes.
-    CacheGetNode(u128),
-    /// Offer a node-tier entry to the daemon's store (validated like
-    /// [`Request::CachePutStage`]).
-    CachePutNode(u128, Vec<u8>),
+    /// Fetch the cache entry under a key from the daemon's store, of
+    /// either kind, as raw entry-file bytes (the exact format
+    /// [`crate::DiskStore`] writes, kind byte included).
+    CacheGet(u128),
+    /// Offer a cache entry of either kind to the daemon's store.  The
+    /// payload is one complete entry file; the daemon validates version,
+    /// layout digest, checksum, kind byte and body with the same
+    /// totality as a disk read and rejects anything malformed without
+    /// storing it.
+    CachePut(u128, Vec<u8>),
     /// Ask for the daemon's cache counters.
     CacheStats,
 }
@@ -143,25 +146,16 @@ impl Codec for Request {
             }
             Request::Ping => e.put_u8(2),
             Request::Shutdown => e.put_u8(3),
-            Request::CacheGetStage(key) => {
+            Request::CacheGet(key) => {
                 e.put_u8(4);
                 e.put_u128(*key);
             }
-            Request::CachePutStage(key, bytes) => {
+            Request::CachePut(key, bytes) => {
                 e.put_u8(5);
                 e.put_u128(*key);
                 bytes.encode(e);
             }
-            Request::CacheGetNode(key) => {
-                e.put_u8(6);
-                e.put_u128(*key);
-            }
-            Request::CachePutNode(key, bytes) => {
-                e.put_u8(7);
-                e.put_u128(*key);
-                bytes.encode(e);
-            }
-            Request::CacheStats => e.put_u8(8),
+            Request::CacheStats => e.put_u8(6),
         }
     }
 
@@ -174,14 +168,9 @@ impl Codec for Request {
             )),
             2 => Ok(Request::Ping),
             3 => Ok(Request::Shutdown),
-            4 => Ok(Request::CacheGetStage(d.take_u128()?)),
-            5 => Ok(Request::CachePutStage(
-                d.take_u128()?,
-                Vec::<u8>::decode(d)?,
-            )),
-            6 => Ok(Request::CacheGetNode(d.take_u128()?)),
-            7 => Ok(Request::CachePutNode(d.take_u128()?, Vec::<u8>::decode(d)?)),
-            8 => Ok(Request::CacheStats),
+            4 => Ok(Request::CacheGet(d.take_u128()?)),
+            5 => Ok(Request::CachePut(d.take_u128()?, Vec::<u8>::decode(d)?)),
+            6 => Ok(Request::CacheStats),
             tag => Err(CodecError::InvalidTag {
                 type_name: "Request",
                 tag,
@@ -299,13 +288,15 @@ pub struct CacheStatsReply {
     pub entries: u64,
     /// Node entries resident in the daemon's memory tier.
     pub node_entries: u64,
-    /// Remote `CacheGet*` requests answered with an entry.
+    /// Remote `CacheGet` requests answered with an entry.
     pub serve_hits: u64,
-    /// Remote `CacheGet*` requests answered empty.
+    /// Remote `CacheGet` requests answered empty.  A `CacheGet` names no
+    /// entry kind, so these misses are counted here only, not in the
+    /// per-kind miss counters of `summary`.
     pub serve_misses: u64,
-    /// Remote `CachePut*` requests accepted and stored.
+    /// Remote `CachePut` requests accepted and stored.
     pub puts_accepted: u64,
-    /// Remote `CachePut*` requests rejected (corrupt, version-skewed or
+    /// Remote `CachePut` requests rejected (corrupt, version-skewed or
     /// truncated entry bytes) — never stored.
     pub puts_rejected: u64,
     /// The daemon cache's own human-readable summary
@@ -351,12 +342,12 @@ pub enum Response {
     /// Anything that went wrong server-side, stringified
     /// ([`crate::FlowError`], spec parse errors, malformed requests).
     Error(String),
-    /// Reply to [`Request::CacheGetStage`] / [`Request::CacheGetNode`]:
-    /// the raw entry-file bytes, or `None` on a store miss.
+    /// Reply to [`Request::CacheGet`]: the raw entry-file bytes, or
+    /// `None` on a store miss.
     CacheEntry(Option<Vec<u8>>),
-    /// Reply to an accepted [`Request::CachePutStage`] /
-    /// [`Request::CachePutNode`]; `true` when the entry was new to the
-    /// daemon's store, `false` when it already had it.
+    /// Reply to an accepted [`Request::CachePut`]; `true` when the entry
+    /// was new to the daemon's memory tier, `false` when it already had
+    /// it.
     CachePutDone(bool),
     /// Reply to [`Request::CacheStats`].
     CacheStatsReply(CacheStatsReply),
@@ -549,7 +540,20 @@ pub struct Server {
 impl Server {
     /// Bind to `addr` (e.g. [`DEFAULT_ADDR`], or `127.0.0.1:0` for an
     /// ephemeral test port) sharing `cache` across all future clients.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when `cache` has a remote tier:
+    /// daemons never chain to other daemons, so every put a daemon
+    /// accepts stays on that daemon.  Otherwise the bind error, if any.
     pub fn bind<A: ToSocketAddrs>(addr: A, cache: StageCache) -> io::Result<Server> {
+        if cache.remote().is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a daemon's cache must not have a remote tier: daemons never chain to \
+                 other daemons",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
@@ -685,15 +689,11 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
             }
             Ok(Request::Flow(req)) => serve_flow(state, &req),
             Ok(Request::Simulate(req, inputs)) => Arc::new(serve_simulate(state, &req, &inputs)),
-            Ok(Request::CacheGetStage(key)) => Arc::new(serve_cache_get_stage(state, key)),
-            Ok(Request::CachePutStage(key, bytes)) => {
-                Arc::new(serve_cache_put_stage(state, key, &bytes))
+            Ok(Request::CacheGet(key)) => Arc::new(to_bytes(&serve_cache_get(state, key))),
+            Ok(Request::CachePut(key, bytes)) => {
+                Arc::new(to_bytes(&serve_cache_put(state, key, &bytes)))
             }
-            Ok(Request::CacheGetNode(key)) => Arc::new(serve_cache_get_node(state, key)),
-            Ok(Request::CachePutNode(key, bytes)) => {
-                Arc::new(serve_cache_put_node(state, key, &bytes))
-            }
-            Ok(Request::CacheStats) => Arc::new(serve_cache_stats(state)),
+            Ok(Request::CacheStats) => Arc::new(to_bytes(&serve_cache_stats(state))),
         };
         if write_frame(&mut stream, &reply).is_err() {
             return;
@@ -705,95 +705,49 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
 // Remote-cache service: raw entry bytes in, raw entry bytes out
 // ---------------------------------------------------------------------------
 
-/// Serve a stage entry from the daemon's cache as raw entry-file bytes.
-/// A hit re-encodes through the canonical entry codec, so the bytes a
-/// client receives are exactly what a local `DiskStore` write would have
-/// produced — the client re-validates and re-materializes them into its
-/// own disk tier unchanged.
-fn serve_cache_get_stage(state: &ServerState, key: u128) -> Vec<u8> {
-    match state.cache.lookup(key) {
-        Some(hit) => {
-            state.cache_serve_hits.fetch_add(1, Ordering::Relaxed);
-            let bytes = crate::disk::encode_entry_with_version(
-                &hit.delta,
-                &hit.writes,
-                hit.saved,
-                crate::disk::FORMAT_VERSION,
-            );
-            to_bytes(&Response::CacheEntry(Some(bytes)))
-        }
-        None => {
-            state.cache_serve_misses.fetch_add(1, Ordering::Relaxed);
-            to_bytes(&Response::CacheEntry(None))
-        }
-    }
+/// Serve an entry of either kind from the daemon's cache as raw
+/// entry-file bytes.  A hit re-encodes through the canonical entry codec,
+/// so the bytes a client receives are exactly what a local `DiskStore`
+/// write would have produced — the client re-validates and
+/// re-materializes them into its own disk tier unchanged.
+fn serve_cache_get(state: &ServerState, key: u128) -> Response {
+    let entry = state.cache.lookup_entry(key);
+    let counter = if entry.is_some() {
+        &state.cache_serve_hits
+    } else {
+        &state.cache_serve_misses
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    Response::CacheEntry(entry.map(|e| crate::disk::encode_entry(&e, crate::disk::FORMAT_VERSION)))
 }
 
-/// Validate and store an offered stage entry.  The validation is the
-/// same totality as a `DiskStore` read — magic, version, layout digest,
-/// checksum, codec decode — so a corrupt or version-skewed put is
-/// rejected with a clean [`Response::Error`], never stored, and the
-/// connection stays alive.
-fn serve_cache_put_stage(state: &ServerState, key: u128, bytes: &[u8]) -> Vec<u8> {
-    match crate::disk::decode_stage_entry(bytes) {
-        Some((delta, writes, cost)) => {
+/// Validate an offered entry with the same totality as a `DiskStore`
+/// read — magic, version, layout digest, checksum, kind byte, codec
+/// decode — and store it with the cache's ordinary insert, which files
+/// it under the kind byte inside the entry.  A malformed put is rejected
+/// with a clean [`Response::Error`], never stored, and the connection
+/// stays alive.
+fn serve_cache_put(state: &ServerState, key: u128, bytes: &[u8]) -> Response {
+    match crate::disk::decode_entry(bytes) {
+        Some(entry) => {
             state.cache_puts_accepted.fetch_add(1, Ordering::Relaxed);
-            let fresh = state.cache.insert_remote(key, delta, writes, cost);
-            to_bytes(&Response::CachePutDone(fresh))
+            Response::CachePutDone(state.cache.insert_entry(key, entry))
         }
         None => {
             state.cache_puts_rejected.fetch_add(1, Ordering::Relaxed);
-            to_bytes(&Response::Error(
+            Response::Error(
                 "rejected cache put: entry bytes failed validation (corrupt, truncated \
                  or foreign format version)"
                     .to_string(),
-            ))
-        }
-    }
-}
-
-/// Serve a node-tier entry as raw entry-file bytes.
-fn serve_cache_get_node(state: &ServerState, key: u128) -> Vec<u8> {
-    match state.cache.lookup_node(key) {
-        Some(hit) => {
-            state.cache_serve_hits.fetch_add(1, Ordering::Relaxed);
-            let bytes = crate::disk::encode_node_entry_with_version(
-                &hit.artifact,
-                crate::disk::FORMAT_VERSION,
-            );
-            to_bytes(&Response::CacheEntry(Some(bytes)))
-        }
-        None => {
-            state.cache_serve_misses.fetch_add(1, Ordering::Relaxed);
-            to_bytes(&Response::CacheEntry(None))
-        }
-    }
-}
-
-/// Validate and store an offered node-tier entry (validated like
-/// [`serve_cache_put_stage`]).
-fn serve_cache_put_node(state: &ServerState, key: u128, bytes: &[u8]) -> Vec<u8> {
-    match crate::disk::decode_node_entry(bytes) {
-        Some(artifact) => {
-            state.cache_puts_accepted.fetch_add(1, Ordering::Relaxed);
-            let fresh = state.cache.insert_node_remote(key, artifact);
-            to_bytes(&Response::CachePutDone(fresh))
-        }
-        None => {
-            state.cache_puts_rejected.fetch_add(1, Ordering::Relaxed);
-            to_bytes(&Response::Error(
-                "rejected cache put: entry bytes failed validation (corrupt, truncated \
-                 or foreign format version)"
-                    .to_string(),
-            ))
+            )
         }
     }
 }
 
 /// The daemon's cache counters.
-fn serve_cache_stats(state: &ServerState) -> Vec<u8> {
+fn serve_cache_stats(state: &ServerState) -> Response {
     let stats = state.cache.stats();
-    to_bytes(&Response::CacheStatsReply(CacheStatsReply {
+    Response::CacheStatsReply(CacheStatsReply {
         entries: stats.entries as u64,
         node_entries: stats.node_entries as u64,
         serve_hits: state.cache_serve_hits.load(Ordering::Relaxed),
@@ -801,7 +755,7 @@ fn serve_cache_stats(state: &ServerState) -> Vec<u8> {
         puts_accepted: state.cache_puts_accepted.load(Ordering::Relaxed),
         puts_rejected: state.cache_puts_rejected.load(Ordering::Relaxed),
         summary: stats.summary(),
-    }))
+    })
 }
 
 /// Content key for coalescing: what the *artifacts* depend on.  Uses
@@ -1020,40 +974,23 @@ impl Client {
         }
     }
 
-    /// Fetch a stage entry's raw bytes from the daemon's store.
-    pub fn cache_get_stage(&mut self, key: u128) -> Result<Option<Vec<u8>>, ServeError> {
-        match self.request(&Request::CacheGetStage(key))? {
+    /// Fetch the raw bytes of the entry under `key`, of either kind,
+    /// from the daemon's store.
+    pub fn cache_get(&mut self, key: u128) -> Result<Option<Vec<u8>>, ServeError> {
+        match self.request(&Request::CacheGet(key))? {
             Response::CacheEntry(bytes) => Ok(bytes),
             Response::Error(msg) => Err(ServeError::Server(msg)),
-            _ => Err(ServeError::Protocol("reply to CacheGetStage")),
+            _ => Err(ServeError::Protocol("reply to CacheGet")),
         }
     }
 
-    /// Offer a stage entry to the daemon's store; `Ok(true)` when the
-    /// daemon stored it fresh.
-    pub fn cache_put_stage(&mut self, key: u128, bytes: Vec<u8>) -> Result<bool, ServeError> {
-        match self.request(&Request::CachePutStage(key, bytes))? {
+    /// Offer one entry of either kind to the daemon's store; `Ok(true)`
+    /// when the daemon stored it fresh.
+    pub fn cache_put(&mut self, key: u128, bytes: Vec<u8>) -> Result<bool, ServeError> {
+        match self.request(&Request::CachePut(key, bytes))? {
             Response::CachePutDone(fresh) => Ok(fresh),
             Response::Error(msg) => Err(ServeError::Server(msg)),
-            _ => Err(ServeError::Protocol("reply to CachePutStage")),
-        }
-    }
-
-    /// Fetch a node-tier entry's raw bytes from the daemon's store.
-    pub fn cache_get_node(&mut self, key: u128) -> Result<Option<Vec<u8>>, ServeError> {
-        match self.request(&Request::CacheGetNode(key))? {
-            Response::CacheEntry(bytes) => Ok(bytes),
-            Response::Error(msg) => Err(ServeError::Server(msg)),
-            _ => Err(ServeError::Protocol("reply to CacheGetNode")),
-        }
-    }
-
-    /// Offer a node-tier entry to the daemon's store.
-    pub fn cache_put_node(&mut self, key: u128, bytes: Vec<u8>) -> Result<bool, ServeError> {
-        match self.request(&Request::CachePutNode(key, bytes))? {
-            Response::CachePutDone(fresh) => Ok(fresh),
-            Response::Error(msg) => Err(ServeError::Server(msg)),
-            _ => Err(ServeError::Protocol("reply to CachePutNode")),
+            _ => Err(ServeError::Protocol("reply to CachePut")),
         }
     }
 
@@ -1087,10 +1024,8 @@ mod tests {
             Request::Simulate(tiny_request(), vec![("a".to_string(), 3)]),
             Request::Ping,
             Request::Shutdown,
-            Request::CacheGetStage(0xfeed_beef),
-            Request::CachePutStage(0xfeed_beef, vec![1, 2, 3]),
-            Request::CacheGetNode(7),
-            Request::CachePutNode(7, vec![0xff; 4]),
+            Request::CacheGet(0xfeed_beef),
+            Request::CachePut(0xfeed_beef, vec![1, 2, 3]),
             Request::CacheStats,
         ];
         for req in &reqs {

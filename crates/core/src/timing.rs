@@ -103,19 +103,9 @@ impl FlowTrace {
         FlowTrace::default()
     }
 
-    /// Append one stage's record (uncached execution).
-    pub fn push(&mut self, name: &'static str, duration: Duration) {
-        self.push_outcome(name, duration, CacheOutcome::Uncached);
-    }
-
-    /// Append one stage's record with its cache outcome.
-    pub fn push_outcome(&mut self, name: &'static str, duration: Duration, cache: CacheOutcome) {
-        self.push_record(name, duration, cache, None);
-    }
-
-    /// Append one stage's record with its cache outcome and node-level
-    /// cache activity.
-    pub fn push_record(
+    /// Append one stage's record: its cache outcome and, for stages that
+    /// consult the node tier, its node-level cache activity.
+    pub fn push(
         &mut self,
         name: &'static str,
         duration: Duration,
@@ -145,17 +135,14 @@ impl FlowTrace {
     /// remote tier).
     #[must_use]
     pub fn cache_hits(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.cache,
-                    CacheOutcome::Hit { .. }
-                        | CacheOutcome::DiskHit { .. }
-                        | CacheOutcome::RemoteHit { .. }
-                )
-            })
-            .count()
+        self.count(|c| {
+            matches!(
+                c,
+                CacheOutcome::Hit { .. }
+                    | CacheOutcome::DiskHit { .. }
+                    | CacheOutcome::RemoteHit { .. }
+            )
+        })
     }
 
     /// Stages that ran as pre-seeded pass-throughs in this run (every
@@ -163,37 +150,30 @@ impl FlowTrace {
     /// nothing — e.g. a `cost` stage over a shared, retargeted model).
     #[must_use]
     pub fn seeded_stages(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.cache == CacheOutcome::Seeded)
-            .count()
+        self.count(|c| c == CacheOutcome::Seeded)
     }
 
     /// Stages restored from the persistent disk tier in this run.
     #[must_use]
     pub fn disk_hits(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.cache, CacheOutcome::DiskHit { .. }))
-            .count()
+        self.count(|c| matches!(c, CacheOutcome::DiskHit { .. }))
     }
 
     /// Stages restored from the remote fleet store in this run.
     #[must_use]
     pub fn remote_hits(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.cache, CacheOutcome::RemoteHit { .. }))
-            .count()
+        self.count(|c| matches!(c, CacheOutcome::RemoteHit { .. }))
     }
 
     /// Stages that executed and populated the cache in this run.
     #[must_use]
     pub fn cache_misses(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.cache == CacheOutcome::Miss)
-            .count()
+        self.count(|c| c == CacheOutcome::Miss)
+    }
+
+    /// Stages whose cache outcome satisfies `pred`.
+    fn count(&self, pred: impl Fn(CacheOutcome) -> bool) -> usize {
+        self.records.iter().filter(|r| pred(r.cache)).count()
     }
 
     /// Wall-clock the cache saved this run: the original execution time
@@ -579,9 +559,9 @@ mod tests {
     #[test]
     fn trace_accumulates_in_order() {
         let mut t = FlowTrace::new();
-        t.push("cost", ms(1));
-        t.push("hls", ms(90));
-        t.push("rtl", ms(5));
+        t.push("cost", ms(1), CacheOutcome::Uncached, None);
+        t.push("hls", ms(90), CacheOutcome::Uncached, None);
+        t.push("rtl", ms(5), CacheOutcome::Uncached, None);
         assert_eq!(t.stage_names(), vec!["cost", "hls", "rtl"]);
         assert_eq!(t.total(), ms(96));
         assert_eq!(t.duration_of("hls"), ms(90));
@@ -591,15 +571,15 @@ mod tests {
     #[test]
     fn buckets_map_stage_names() {
         let mut t = FlowTrace::new();
-        t.push("spec", ms(1));
-        t.push("cost", ms(2));
-        t.push("partition", ms(3));
-        t.push("schedule", ms(4));
-        t.push("stg", ms(5));
-        t.push("hls", ms(80));
-        t.push("rtl", ms(10));
-        t.push("codegen", ms(6));
-        t.push("sim-prep", ms(1));
+        t.push("spec", ms(1), CacheOutcome::Uncached, None);
+        t.push("cost", ms(2), CacheOutcome::Uncached, None);
+        t.push("partition", ms(3), CacheOutcome::Uncached, None);
+        t.push("schedule", ms(4), CacheOutcome::Uncached, None);
+        t.push("stg", ms(5), CacheOutcome::Uncached, None);
+        t.push("hls", ms(80), CacheOutcome::Uncached, None);
+        t.push("rtl", ms(10), CacheOutcome::Uncached, None);
+        t.push("codegen", ms(6), CacheOutcome::Uncached, None);
+        t.push("sim-prep", ms(1), CacheOutcome::Uncached, None);
         let s = StageTimings::from_trace(&t);
         assert_eq!(s.estimation, ms(3));
         assert_eq!(s.partitioning, ms(3));
@@ -613,7 +593,7 @@ mod tests {
     #[test]
     fn tables_render_every_row() {
         let mut t = FlowTrace::new();
-        t.push("hls", ms(9));
+        t.push("hls", ms(9), CacheOutcome::Uncached, None);
         let table = t.to_table();
         assert!(table.contains("hls"));
         assert!(table.contains("total"));
@@ -624,10 +604,15 @@ mod tests {
     #[test]
     fn trace_codec_roundtrips_and_rejects_foreign_names() {
         let mut t = FlowTrace::new();
-        t.push_outcome("spec", ms(1), CacheOutcome::Seeded);
-        t.push_outcome("cost", ms(2), CacheOutcome::Miss);
-        t.push_outcome("partition", ms(3), CacheOutcome::Hit { saved: ms(30) });
-        t.push_record(
+        t.push("spec", ms(1), CacheOutcome::Seeded, None);
+        t.push("cost", ms(2), CacheOutcome::Miss, None);
+        t.push(
+            "partition",
+            ms(3),
+            CacheOutcome::Hit { saved: ms(30) },
+            None,
+        );
+        t.push(
             "hls",
             ms(4),
             CacheOutcome::DiskHit { saved: ms(40) },
@@ -638,7 +623,12 @@ mod tests {
                 computed_names: vec!["h1".to_string()],
             }),
         );
-        t.push_outcome("rtl", ms(5), CacheOutcome::RemoteHit { saved: ms(50) });
+        t.push(
+            "rtl",
+            ms(5),
+            CacheOutcome::RemoteHit { saved: ms(50) },
+            None,
+        );
         t.push_warning("partition truncated");
         let bytes = cool_ir::codec::to_bytes(&t);
         let back: FlowTrace = cool_ir::codec::from_bytes(&bytes).unwrap();
@@ -663,8 +653,8 @@ mod tests {
     #[test]
     fn node_deltas_aggregate_and_render() {
         let mut t = FlowTrace::new();
-        t.push("cost", ms(1));
-        t.push_record(
+        t.push("cost", ms(1), CacheOutcome::Uncached, None);
+        t.push(
             "hls",
             ms(5),
             CacheOutcome::Miss,
@@ -675,7 +665,7 @@ mod tests {
                 computed_names: vec!["h4".to_string()],
             }),
         );
-        t.push_record(
+        t.push(
             "stg",
             ms(1),
             CacheOutcome::Miss,

@@ -1,0 +1,251 @@
+//! Seeded fuzz loops for the cache-entry decoder and the wire codecs.
+//!
+//! Like `tests/properties.rs`, the cases are deterministic streams drawn
+//! from [`cool_repro::ir::rng::StdRng`], so every failure reproduces
+//! from its printed case number.
+//!
+//! * About 10k mutants of valid stage and node entries — bit flips,
+//!   truncations, edits to the length field and the kind byte — go
+//!   through `disk::decode_entry`, the one decoder that the disk tier,
+//!   the remote tier and the daemon's put handler share. Every mutant
+//!   must be rejected, and none may panic.
+//! * Mutants of every `Request` and `Response` kind go through their
+//!   codecs. Each must decode to an error or to a value that re-encodes
+//!   canonically, and none may panic.
+
+use std::fs;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use cool_repro::core::cache::{Entry, EntryKind, NodeArtifact};
+use cool_repro::core::disk::{self, decode_entry, FORMAT_VERSION};
+use cool_repro::core::server::{FlowRequest, FlowResponse, Request, Response, SimResponse};
+use cool_repro::core::{CacheStatsReply, FlowOptions, FlowSession, StageCache};
+use cool_repro::ir::codec::{from_bytes, to_bytes, Codec};
+use cool_repro::ir::rng::StdRng;
+use cool_repro::ir::{ContentHasher, Target};
+use cool_repro::spec::{print_spec, workloads};
+
+/// Offset of the payload-length field in an entry file.
+const LEN_FIELD: usize = 28;
+/// Offset of the payload, whose first byte is the entry kind.
+const PAYLOAD: usize = 36;
+/// Size of the trailing payload checksum.
+const CHECKSUM: usize = 16;
+
+/// The valid entries a cached flow of a small design writes: stage
+/// entries of every standard stage plus node entries (STG fragments,
+/// HLS designs, VHDL units).
+fn valid_entries() -> Vec<Vec<u8>> {
+    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "cool-decoder-fuzz-{}-{}",
+        std::process::id(),
+        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let g = workloads::equalizer(2);
+    let cache = StageCache::persistent(StageCache::DEFAULT_CAPACITY, &dir).expect("cache dir");
+    FlowSession::new(&g)
+        .target(Target::fuzzy_board())
+        .options(FlowOptions::quick())
+        .cache(cache)
+        .run()
+        .expect("flow runs");
+    let mut entries: Vec<Vec<u8>> = fs::read_dir(&dir)
+        .expect("cache dir lists")
+        .map(|e| fs::read(e.expect("dir entry").path()).expect("entry reads"))
+        .collect();
+    let _ = fs::remove_dir_all(&dir);
+    entries.push(disk::encode_entry(
+        &Entry::Node(Arc::new(NodeArtifact::Vhdl("entity probe is end;".into()))),
+        FORMAT_VERSION,
+    ));
+    entries.sort();
+    entries
+}
+
+/// Recompute an entry's payload checksum, so a mutant gets past the
+/// envelope and reaches the kind dispatch and the body decoders.
+fn reseal(entry: &mut [u8]) {
+    let end = entry.len() - CHECKSUM;
+    let mut h = ContentHasher::new();
+    h.write(&entry[PAYLOAD..end]);
+    entry[end..].copy_from_slice(&h.finish().to_le_bytes());
+}
+
+#[test]
+fn every_mutated_entry_is_rejected() {
+    let entries = valid_entries();
+    let kinds: Vec<_> = entries
+        .iter()
+        .map(|e| decode_entry(e).expect("valid entry decodes").kind())
+        .collect();
+    assert!(kinds.contains(&EntryKind::Stage) && kinds.contains(&EntryKind::Node));
+
+    let mut rng = StdRng::seed_from_u64(0xdec0_de01);
+    for case in 0..10_000 {
+        let original = &entries[rng.random_range(0..entries.len())];
+        let mut m = original.clone();
+        match case % 5 {
+            // One to three distinct bit flips anywhere in the file.
+            0 => {
+                let mut flipped = Vec::new();
+                for _ in 0..1 + rng.random_range(0..3) {
+                    let bit = (rng.random_range(0..m.len()), rng.random_range(0..8));
+                    if !flipped.contains(&bit) {
+                        m[bit.0] ^= 1 << bit.1;
+                        flipped.push(bit);
+                    }
+                }
+            }
+            // Truncation, down to the empty file.
+            1 => m.truncate(rng.random_range(0..m.len())),
+            // A different payload length: off by a little, or arbitrary.
+            2 => {
+                let len = u64::from_le_bytes(m[LEN_FIELD..PAYLOAD].try_into().unwrap());
+                let edited = match rng.random_range(0..3) {
+                    0 => len.wrapping_add(1 + rng.random_range(0..64) as u64),
+                    1 => len.wrapping_sub(1 + rng.random_range(0..64) as u64),
+                    _ => rng.next_u64(),
+                };
+                m[LEN_FIELD..PAYLOAD].copy_from_slice(&edited.to_le_bytes());
+            }
+            // Another kind byte under the original checksum.
+            3 => m[PAYLOAD] = m[PAYLOAD].wrapping_add(1 + rng.random_range(0..255) as u8),
+            // Another kind byte, resealed: the body meets the wrong
+            // decoder, or no decoder at all.
+            _ => {
+                m[PAYLOAD] = m[PAYLOAD].wrapping_add(1 + rng.random_range(0..255) as u8);
+                reseal(&mut m);
+            }
+        }
+        assert_ne!(&m, original, "case {case}: the mutation changed nothing");
+        assert!(
+            decode_entry(&m).is_none(),
+            "case {case}: a mutated entry ({} bytes) was accepted",
+            m.len()
+        );
+    }
+}
+
+/// One value of every request kind.
+fn requests() -> Vec<Request> {
+    let flow = FlowRequest {
+        spec: print_spec(&workloads::equalizer(2)),
+        target: Target::fuzzy_board(),
+        options: FlowOptions::quick(),
+    };
+    vec![
+        Request::Flow(flow.clone()),
+        Request::Simulate(flow, vec![("x0".into(), 12), ("x1".into(), -5)]),
+        Request::Ping,
+        Request::Shutdown,
+        Request::CacheGet(0x0123_4567_89ab_cdef),
+        Request::CachePut(7, valid_entries().remove(0)),
+        Request::CacheStats,
+    ]
+}
+
+/// One value of every response kind, the flow response taken from a
+/// real run.
+fn responses() -> Vec<Response> {
+    let g = workloads::equalizer(2);
+    let art = FlowSession::new(&g)
+        .target(Target::fuzzy_board())
+        .options(FlowOptions::quick())
+        .run()
+        .expect("flow runs");
+    let flow = FlowResponse {
+        report: art.report(),
+        vhdl: art.vhdl.clone(),
+        c_programs: art
+            .c_programs
+            .iter()
+            .map(|p| (p.file_name.clone(), p.source.clone()))
+            .collect(),
+        memory_header: String::new(),
+        trace: art.trace.clone(),
+        optimality: art.partition.optimality,
+        gap: art.partition.gap,
+        flight: 3,
+        joined: 2,
+    };
+    vec![
+        Response::Flow(Box::new(flow)),
+        Response::Sim(SimResponse {
+            outputs: vec![("y".into(), 42)],
+            cycles: 120,
+            bus_transfers: 6,
+            bus_busy_cycles: 18,
+        }),
+        Response::Pong,
+        Response::ShuttingDown,
+        Response::Error("spec error: line 3".into()),
+        Response::CacheEntry(None),
+        Response::CacheEntry(Some(vec![0xab; 40])),
+        Response::CachePutDone(true),
+        Response::CacheStatsReply(CacheStatsReply {
+            entries: 9,
+            node_entries: 31,
+            serve_hits: 4,
+            serve_misses: 1,
+            puts_accepted: 40,
+            puts_rejected: 2,
+            summary: "stage cache: 9 hit(s)".into(),
+        }),
+    ]
+}
+
+/// Mutate `bytes`: bit flips, a truncation, an overwritten byte, or the
+/// leading tag replaced.
+fn mutate(rng: &mut StdRng, bytes: &[u8]) -> Vec<u8> {
+    let mut m = bytes.to_vec();
+    match rng.random_range(0..4) {
+        0 => {
+            for _ in 0..1 + rng.random_range(0..4) {
+                let at = rng.random_range(0..m.len());
+                m[at] ^= 1 << rng.random_range(0..8);
+            }
+        }
+        1 => m.truncate(rng.random_range(0..m.len())),
+        2 => {
+            let at = rng.random_range(0..m.len());
+            m[at] = rng.random_range(0..256) as u8;
+        }
+        _ => m[0] = rng.random_range(0..256) as u8,
+    }
+    m
+}
+
+/// Decode every mutant; whatever decodes must be a valid value, one
+/// whose encoding decodes and re-encodes to the same bytes.
+fn fuzz_codec<T: Codec + PartialEq + std::fmt::Debug>(values: &[T], seed: u64, per_value: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for (v, value) in values.iter().enumerate() {
+        let bytes = to_bytes(value);
+        assert_eq!(
+            &from_bytes::<T>(&bytes).expect("valid value decodes"),
+            value
+        );
+        for case in 0..per_value {
+            let m = mutate(&mut rng, &bytes);
+            if let Ok(decoded) = from_bytes::<T>(&m) {
+                let canonical = to_bytes(&decoded);
+                let again = from_bytes::<T>(&canonical)
+                    .unwrap_or_else(|e| panic!("value {v}, case {case}: {e}"));
+                assert_eq!(
+                    to_bytes(&again),
+                    canonical,
+                    "value {v}, case {case}: a decoded mutant does not round-trip"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn mutated_requests_and_responses_never_panic() {
+    fuzz_codec(&requests(), 0xdec0_de02, 400);
+    fuzz_codec(&responses(), 0xdec0_de03, 400);
+}
