@@ -85,7 +85,6 @@ fn main() {
         let ga = GaOptions {
             population: 16,
             generations: 10,
-            threads: 1,
             ..Default::default()
         };
         group.bench(&format!("genetic/{nodes}"), || {

@@ -96,7 +96,6 @@ fn main() -> ExitCode {
         partitioner: Partitioner::Genetic(GaOptions {
             population: if smoke { 8 } else { 24 },
             generations: if smoke { 6 } else { 20 },
-            threads: 1,
             ..GaOptions::default()
         }),
         jobs,

@@ -800,7 +800,7 @@ impl StageCache {
         self.inner.lock().expect("stage cache poisoned")
     }
 
-    /// Look up a stage execution: [`StageCache::get`] for stage entries.
+    /// Look up a stage execution: `StageCache::get` for stage entries.
     #[must_use]
     pub fn lookup(&self, key: StageKey) -> Option<CacheHit> {
         let (
@@ -824,7 +824,7 @@ impl StageCache {
     }
 
     /// Look up a per-node artifact by its namespaced node key:
-    /// [`StageCache::get`] for node entries.
+    /// `StageCache::get` for node entries.
     #[must_use]
     pub fn lookup_node(&self, key: StageKey) -> Option<NodeHit> {
         let (Entry::Node(artifact), source) = self.get(key, Some(EntryKind::Node))? else {
@@ -926,7 +926,7 @@ impl StageCache {
     }
 
     /// Insert the delta a freshly executed stage produced, with the
-    /// content digests of the slots it fills: [`StageCache::insert_entry`]
+    /// content digests of the slots it fills: `StageCache::insert_entry`
     /// for a stage entry.
     pub fn insert(
         &self,
@@ -946,7 +946,7 @@ impl StageCache {
     }
 
     /// Insert a freshly computed per-node artifact under its node key:
-    /// [`StageCache::insert_entry`] for a node entry.
+    /// `StageCache::insert_entry` for a node entry.
     pub fn insert_node(&self, key: StageKey, artifact: NodeArtifact) {
         self.insert_entry(key, Entry::Node(Arc::new(artifact)));
     }

@@ -359,7 +359,7 @@ impl DiskStore {
     }
 
     /// Serialize one stage execution under `key`: [`encode_entry_with_version`]
-    /// at [`FORMAT_VERSION`], written by [`DiskStore::write_entry`].
+    /// at [`FORMAT_VERSION`], written by `DiskStore::write_entry`.
     ///
     /// # Errors
     ///

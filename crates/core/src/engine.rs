@@ -86,6 +86,84 @@ fn take_node_delta(cx: &mut FlowContext<'_>, name: &'static str) -> Option<NodeD
     Some(cx.node_deltas.remove(i).1)
 }
 
+/// One stage's path through the node-level cache tier, shared by the
+/// `stg`, `hls` and `rtl` stages.
+///
+/// With a cache attached, a lookup hit counts as `reused` (plus
+/// `reused_disk` when a disk or remote tier served it), and a store
+/// inserts a freshly computed artifact and counts it as `computed` under
+/// the node's name. Without a cache the tier is inert: it hashes no key,
+/// clones no artifact and reports no [`NodeDelta`].
+struct NodeTier {
+    cache: Option<(StageCache, NodeDelta)>,
+}
+
+impl NodeTier {
+    fn of(cx: &FlowContext<'_>) -> NodeTier {
+        NodeTier {
+            cache: cx.node_cache.clone().map(|c| (c, NodeDelta::default())),
+        }
+    }
+
+    /// The node key `key` builds, or `None` without a cache.
+    fn key(&self, key: impl FnOnce() -> u128) -> Option<u128> {
+        self.cache.as_ref().map(|_| key())
+    }
+
+    /// The artifact cached under `key`, if `accept` takes it: `accept`
+    /// picks the stage's artifact kind and may reject a stale entry,
+    /// which then reads as a miss.
+    fn lookup<T>(
+        &mut self,
+        key: Option<u128>,
+        accept: impl FnOnce(&NodeArtifact) -> Option<T>,
+    ) -> Option<T> {
+        let (cache, delta) = self.cache.as_mut()?;
+        let hit = cache.lookup_node(key?)?;
+        let value = accept(&hit.artifact)?;
+        delta.reused += 1;
+        delta.reused_disk += usize::from(hit.from_disk || hit.from_remote);
+        Some(value)
+    }
+
+    /// Store the freshly computed artifact of node `name` under `key`.
+    fn store(&mut self, key: Option<u128>, name: &str, artifact: impl FnOnce() -> NodeArtifact) {
+        if let (Some((cache, delta)), Some(key)) = (&mut self.cache, key) {
+            cache.insert_node(key, artifact());
+            delta.computed += 1;
+            delta.computed_names.push(name.to_string());
+        }
+    }
+
+    /// Node `name`'s artifact: the one cached under `key` that `accept`
+    /// takes, or else `compute`d and stored as `wrap` turns it into a
+    /// node artifact.
+    fn get_or_compute<T>(
+        &mut self,
+        name: &str,
+        key: impl FnOnce() -> u128,
+        accept: impl FnOnce(&NodeArtifact) -> Option<T>,
+        compute: impl FnOnce() -> T,
+        wrap: impl FnOnce(&T) -> NodeArtifact,
+    ) -> T {
+        let key = self.key(key);
+        if let Some(value) = self.lookup(key, accept) {
+            return value;
+        }
+        let value = compute();
+        self.store(key, name, || wrap(&value));
+        value
+    }
+
+    /// Hand the stage's node activity to the engine, which files it
+    /// under the stage's trace record.
+    fn report(self, cx: &mut FlowContext<'_>, stage: &'static str) {
+        if let Some((_, delta)) = self.cache {
+            cx.node_deltas.push((stage, delta));
+        }
+    }
+}
+
 /// A linear pipeline of named stages, optionally backed by a
 /// content-addressed [`StageCache`].
 pub struct Engine {
@@ -169,7 +247,10 @@ impl Engine {
     /// # Errors
     ///
     /// The first failing stage's error; `cx` keeps all artifacts produced
-    /// before the failure.
+    /// before the failure. With a cache attached, a cacheable stage that
+    /// breaks its contract — fills a slot missing from [`Stage::writes`],
+    /// or (checked in debug builds) mutates an already-filled slot —
+    /// fails the run with [`FlowError::Consistency`].
     pub fn run(&self, cx: &mut FlowContext<'_>) -> Result<FlowTrace, FlowError> {
         self.run_until(cx, None)
     }
@@ -283,33 +364,32 @@ impl Engine {
                     let writes = cache::update_slot_digests(cx, before, &mut k.digests);
                     // A cacheable stage must only fill empty slots — an in-place
                     // mutation would be invisible to the delta and leave stale
-                    // digests. Re-hashing everything per stage is too costly for
-                    // release builds, so the contract is enforced mechanically
-                    // in debug builds (i.e. under `cargo test`).
+                    // digests. Re-hashing every filled slot per stage is too
+                    // costly for release builds, so this check runs in debug
+                    // builds (i.e. under `cargo test`).
                     #[cfg(debug_assertions)]
                     if let Some(slot) = cache::find_mutated_slot(cx, before, &k.digests) {
-                        panic!(
+                        return Err(FlowError::Consistency(format!(
                             "stage `{}` mutated the already-filled artifact slot `{slot}` \
                              but returned Some from cache_key; stages that mutate \
                              artifacts in place must return None (see Stage::cache_key)",
                             stage.name(),
-                        );
+                        )));
                     }
                     // A write outside the declared set means the declarations are
-                    // wrong; refuse to cache rather than risk serving an entry
-                    // keyed on an incomplete read set. Like the mutated-slot
-                    // check above, debug builds turn the broken declaration into
-                    // a panic instead of a silent permanent cache miss.
-                    let undeclared = writes.iter().find(|(s, _)| !stage.writes().contains(s));
-                    #[cfg(debug_assertions)]
-                    if let Some((slot, _)) = undeclared {
-                        panic!(
+                    // wrong, and an entry keyed on them could be served for inputs
+                    // it does not cover. The write set is already at hand, so
+                    // every build rejects the stage.
+                    if let Some((slot, _)) =
+                        writes.iter().find(|(s, _)| !stage.writes().contains(s))
+                    {
+                        return Err(FlowError::Consistency(format!(
                             "stage `{}` filled the artifact slot `{}` without declaring it \
                              in Stage::writes(); fix the declaration (and check reads() \
                              matches what the stage consumes)",
                             stage.name(),
                             slot.name(),
-                        );
+                        )));
                     }
                     // A node-limit-truncated partition is not a deterministic
                     // function of the stage's inputs: under `jobs > 1` which
@@ -332,7 +412,7 @@ impl Engine {
                     if seeded {
                         CacheOutcome::Seeded
                     } else {
-                        if undeclared.is_none() && !truncated_partition {
+                        if !truncated_partition {
                             let delta = ArtifactDelta::capture(cx, before);
                             k.cache.insert(key, delta, writes, elapsed);
                         }
@@ -528,11 +608,11 @@ impl Stage for PartitionStage {
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
         let cost = cx.cost()?;
         // The flow's `jobs` knob governs every parallel stage; thread it
-        // into the MILP branch & bound too. A completed solve is
-        // deterministic for every worker count (why `jobs` stays out of
-        // the options' content hashes and cache keys); the one
-        // exception, a node-limit-truncated solve, is excluded from the
-        // cache below.
+        // into the MILP branch & bound and the GA's fitness evaluation
+        // too. A completed solve is deterministic for every worker count
+        // (why `jobs` stays out of the options' content hashes and cache
+        // keys); the one exception, a node-limit-truncated MILP solve, is
+        // excluded from the cache below.
         let partition = match &Self::effective_partitioner(cx.options) {
             Partitioner::Milp(o) => {
                 let o = cool_partition::MilpOptions {
@@ -546,7 +626,13 @@ impl Stage for PartitionStage {
                 o.milp.jobs = cx.options.jobs;
                 cool_partition::heuristic::partition(cx.graph, cost, &o)?
             }
-            Partitioner::Genetic(o) => cool_partition::genetic::partition(cx.graph, cost, o)?,
+            Partitioner::Genetic(o) => {
+                let o = cool_partition::GaOptions {
+                    jobs: cx.options.jobs,
+                    ..o.clone()
+                };
+                cool_partition::genetic::partition(cx.graph, cost, &o)?
+            }
             Partitioner::Fixed(mapping) => {
                 let (makespan, hw_area) =
                     cool_partition::evaluate(cx.graph, mapping, cost, cx.options.scheme)?;
@@ -632,42 +718,24 @@ impl Stage for StgStage {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let node_cache = cx.node_cache.clone();
+        let mut tier = NodeTier::of(cx);
         let graph = cx.graph;
         let mapping = &cx.partition()?.mapping;
         let schedule = cx.schedule()?;
-        let (stg, stg_delta) = match &node_cache {
-            Some(cache) => {
-                let mut delta = NodeDelta::default();
-                let mut provider = |n: cool_ir::NodeId, res: Resource| {
-                    let key = stg_node_key(n, res);
-                    if let Some(hit) = cache.lookup_node(key) {
-                        if let NodeArtifact::StgFragment(f) = hit.artifact.as_ref() {
-                            // The canonical-shape gate turns a corrupt or
-                            // stale fragment into a recompute instead of a
-                            // malformed STG.
-                            if f.is_canonical_for(n, res) {
-                                delta.reused += 1;
-                                if hit.from_disk || hit.from_remote {
-                                    delta.reused_disk += 1;
-                                }
-                                return f.clone();
-                            }
-                        }
-                    }
-                    let f = cool_stg::node_fragment(n, res);
-                    cache.insert_node(key, NodeArtifact::StgFragment(f.clone()));
-                    delta.computed += 1;
-                    if let Ok(node) = graph.node(n) {
-                        delta.computed_names.push(node.name().to_string());
-                    }
-                    f
-                };
-                let stg = cool_stg::generate_with(graph, mapping, schedule, &mut provider);
-                (stg, Some(delta))
-            }
-            None => (cool_stg::generate(graph, mapping, schedule), None),
-        };
+        let stg = cool_stg::generate_with(graph, mapping, schedule, &mut |n, res| {
+            tier.get_or_compute(
+                graph.node(n).map_or("", |node| node.name()),
+                || stg_node_key(n, res),
+                // The canonical-shape gate turns a corrupt or stale
+                // fragment into a recompute instead of a malformed STG.
+                |artifact| match artifact {
+                    NodeArtifact::StgFragment(f) if f.is_canonical_for(n, res) => Some(f.clone()),
+                    _ => None,
+                },
+                || cool_stg::node_fragment(n, res),
+                |f| NodeArtifact::StgFragment(f.clone()),
+            )
+        });
         stg.verify().map_err(FlowError::Consistency)?;
         let (stg_minimized, minimize_stats) = cool_stg::minimize_jobs(&stg, cx.options.jobs);
         stg_minimized.verify().map_err(FlowError::Consistency)?;
@@ -691,9 +759,7 @@ impl Stage for StgStage {
         cx.stg_minimized = Some(stg_minimized);
         cx.minimize_stats = Some(minimize_stats);
         cx.memory_map = Some(memory_map);
-        if let Some(delta) = stg_delta {
-            cx.node_deltas.push(("stg", delta));
-        }
+        tier.report(cx, self.name());
         Ok(())
     }
 
@@ -728,39 +794,15 @@ impl Stage for StgStage {
 /// `hls` — full-effort hardware synthesis of every hardware-mapped node,
 /// fanned out across `jobs` scoped worker threads. This is the stage the
 /// paper measures at > 90 % of design time.
+///
+/// Under a cache, every node is first looked up in the node tier under
+/// [`cool_hls::node_key`], and only the misses fan out through
+/// [`cool_hls::synthesize_many`], in input order — so the designs are
+/// byte-identical to an uncached run at every `jobs`. The key leaves the
+/// node name out: identically behaving nodes share one entry, stored
+/// unnamed and re-labelled with [`cool_hls::HlsDesign::renamed`] on every
+/// hit, and a rename alone never re-synthesizes.
 pub struct HlsStage;
-
-/// Adapter exposing the [`StageCache`] node tier to
-/// [`cool_hls::synthesize_many_cached`] (the `hls` crate cannot depend
-/// on `cool_core`, so the cache crosses the boundary behind the
-/// [`cool_hls::NodeCache`] trait).
-struct HlsNodeTier<'c> {
-    cache: &'c StageCache,
-}
-
-impl cool_hls::NodeCache for HlsNodeTier<'_> {
-    fn lookup(&self, key: u128) -> Option<(cool_hls::HlsDesign, cool_hls::CacheSource)> {
-        let hit = self.cache.lookup_node(key)?;
-        match hit.artifact.as_ref() {
-            NodeArtifact::Hls(d) => {
-                let source = if hit.from_disk || hit.from_remote {
-                    cool_hls::CacheSource::Disk
-                } else {
-                    cool_hls::CacheSource::Memory
-                };
-                Some((d.clone(), source))
-            }
-            // Namespaced keys make a kind mismatch unreachable from this
-            // engine's own writers; treat it as a miss regardless.
-            _ => None,
-        }
-    }
-
-    fn insert(&self, key: u128, design: &cool_hls::HlsDesign) {
-        self.cache
-            .insert_node(key, NodeArtifact::Hls(design.clone()));
-    }
-}
 
 impl Stage for HlsStage {
     fn name(&self) -> &'static str {
@@ -780,35 +822,32 @@ impl Stage for HlsStage {
             let node = cx.graph.node(n)?;
             named.push((node.name(), node.behavior()));
         }
-        let node_cache = cx.node_cache.clone();
-        let hls_designs = match &node_cache {
-            Some(cache) => {
-                let tier = HlsNodeTier { cache };
-                let (designs, outcomes) = cool_hls::synthesize_many_cached(
-                    &named,
-                    &cx.options.hls,
-                    cx.options.jobs,
-                    &tier,
-                );
-                let mut delta = NodeDelta::default();
-                for (outcome, &(name, _)) in outcomes.iter().zip(&named) {
-                    match outcome {
-                        cool_hls::NodeOutcome::Computed => {
-                            delta.computed += 1;
-                            delta.computed_names.push(name.to_string());
-                        }
-                        cool_hls::NodeOutcome::ReusedMemory => delta.reused += 1,
-                        cool_hls::NodeOutcome::ReusedDisk => {
-                            delta.reused += 1;
-                            delta.reused_disk += 1;
-                        }
-                    }
-                }
-                cx.node_deltas.push(("hls", delta));
-                designs
+        let options = &cx.options.hls;
+        let mut tier = NodeTier::of(cx);
+        let mut designs = Vec::with_capacity(named.len());
+        let mut misses = Vec::new();
+        for (i, &(name, behavior)) in named.iter().enumerate() {
+            let key = tier.key(|| cool_hls::node_key(behavior, options));
+            let hit = tier.lookup(key, |artifact| match artifact {
+                NodeArtifact::Hls(d) => Some(d.renamed(name)),
+                _ => None,
+            });
+            if hit.is_none() {
+                misses.push((i, key));
             }
-            None => cool_hls::synthesize_many(&named, &cx.options.hls, cx.options.jobs),
-        };
+            designs.push(hit);
+        }
+        let todo: Vec<_> = misses.iter().map(|&(i, _)| named[i]).collect();
+        let fresh = cool_hls::synthesize_many(&todo, options, cx.options.jobs);
+        for (&(i, key), design) in misses.iter().zip(fresh) {
+            tier.store(key, named[i].0, || NodeArtifact::Hls(design.renamed("")));
+            designs[i] = Some(design);
+        }
+        let hls_designs = designs
+            .into_iter()
+            .map(|d| d.expect("every node is a hit or a miss"))
+            .collect();
+        tier.report(cx, self.name());
         cx.hw_nodes = Some(hw_nodes);
         cx.hls_designs = Some(hls_designs);
         Ok(())
@@ -887,42 +926,20 @@ impl Stage for RtlStage {
                 target.bus.width_bits,
             ),
         ));
-        let node_cache = cx.node_cache.clone();
-        let mut rtl_delta = node_cache.as_ref().map(|_| NodeDelta::default());
+        let mut tier = NodeTier::of(cx);
         for (i, &n) in hw_nodes.iter().enumerate() {
             let node = graph.node(n)?;
             let latency = hls_designs[i].latency_cycles;
-            let unit = match (&node_cache, &mut rtl_delta) {
-                (Some(cache), Some(delta)) => {
-                    let key = rtl_node_key(node.name(), node.behavior(), latency);
-                    let cached =
-                        cache
-                            .lookup_node(key)
-                            .and_then(|hit| match hit.artifact.as_ref() {
-                                NodeArtifact::Vhdl(src) => {
-                                    Some((src.clone(), hit.from_disk || hit.from_remote))
-                                }
-                                _ => None,
-                            });
-                    match cached {
-                        Some((src, from_disk)) => {
-                            delta.reused += 1;
-                            if from_disk {
-                                delta.reused_disk += 1;
-                            }
-                            src
-                        }
-                        None => {
-                            let src = cool_rtl::vhdl::emit_hw_block(graph, n, latency);
-                            cache.insert_node(key, NodeArtifact::Vhdl(src.clone()));
-                            delta.computed += 1;
-                            delta.computed_names.push(node.name().to_string());
-                            src
-                        }
-                    }
-                }
-                _ => cool_rtl::vhdl::emit_hw_block(graph, n, latency),
-            };
+            let unit = tier.get_or_compute(
+                node.name(),
+                || rtl_node_key(node.name(), node.behavior(), latency),
+                |artifact| match artifact {
+                    NodeArtifact::Vhdl(src) => Some(src.clone()),
+                    _ => None,
+                },
+                || cool_rtl::vhdl::emit_hw_block(graph, n, latency),
+                |src| NodeArtifact::Vhdl(src.clone()),
+            );
             vhdl.push((format!("hw_{}.vhd", node.name()), unit));
         }
         // One datapath controller per FPGA in use: sequences the device's
@@ -1033,9 +1050,7 @@ impl Stage for RtlStage {
         cx.netlist = Some(netlist);
         cx.vhdl = Some(vhdl);
         cx.placements = Some(placements);
-        if let Some(delta) = rtl_delta {
-            cx.node_deltas.push(("rtl", delta));
-        }
+        tier.report(cx, self.name());
         Ok(())
     }
 

@@ -43,12 +43,11 @@
 //! ([`FlowSession::cache`]): stages whose dependency-DAG content key
 //! (graph + [`Stage::cache_key`] + the digests of the artifact slots in
 //! [`Stage::reads`]) already executed are skipped and their artifacts
-//! restored, byte-identically to a cold run. With
-//! [`FlowSession::cache_dir`] ([`StageCache::persistent`]) the cache
-//! gains an on-disk tier (`.cool-cache/` by convention): inserts are
-//! written through as checksummed [`cool_ir::codec`] entries, and a
-//! *fresh process* — the next CLI invocation, the next CI job —
-//! warm-starts from them.
+//! restored, byte-identically to a cold run. A cache built with
+//! [`StageCache::persistent`] gains an on-disk tier (`.cool-cache/` by
+//! convention): inserts are written through as checksummed
+//! [`cool_ir::codec`] entries, and a *fresh process* — the next CLI
+//! invocation, the next CI job — warm-starts from them.
 //!
 //! # Example
 //!
@@ -206,7 +205,6 @@ impl FlowOptions {
             partitioner: Partitioner::Genetic(GaOptions {
                 population: 8,
                 generations: 4,
-                threads: 1,
                 ..GaOptions::default()
             }),
             scheme: CommScheme::MemoryMapped,

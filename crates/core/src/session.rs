@@ -39,10 +39,8 @@
 //!
 //! Invalid combinations (no target, a seeded cost model whose board is
 //! inventory-incompatible with the session target, a mapping sized for a
-//! different graph, two cache sources) fail fast with
-//! [`FlowError::Session`] before any stage runs.
-
-use std::path::PathBuf;
+//! different graph) fail fast with [`FlowError::Session`] before any
+//! stage runs.
 
 use cool_codegen::CProgram;
 use cool_cost::CostModel;
@@ -71,9 +69,6 @@ pub struct FlowSession<'a> {
     options: FlowOptions,
     jobs: Option<usize>,
     cache: Option<StageCache>,
-    cache_dir: Option<PathBuf>,
-    cache_max_bytes: Option<u64>,
-    cache_remote: Option<String>,
     cost: Option<CostModel>,
     mapping: Option<Mapping>,
 }
@@ -92,9 +87,6 @@ impl<'a> FlowSession<'a> {
             options: FlowOptions::default(),
             jobs: None,
             cache: None,
-            cache_dir: None,
-            cache_max_bytes: None,
-            cache_remote: None,
             cost: None,
             mapping: None,
         }
@@ -143,44 +135,14 @@ impl<'a> FlowSession<'a> {
 
     /// Attach a content-addressed stage cache: stages whose
     /// dependency-DAG content key already executed (in this session or
-    /// any other holding a clone) are skipped and restored. Mutually
-    /// exclusive with [`cache_dir`](FlowSession::cache_dir).
+    /// any other holding a clone) are skipped and restored. The cache's
+    /// own constructors pick its tiers: [`StageCache::default`] keeps
+    /// entries in memory, [`StageCache::persistent`] adds a disk tier that
+    /// separate *processes* share, and [`StageCache::with_remote`] adds a
+    /// `coold` daemon as the fleet tier.
     #[must_use]
     pub fn cache(mut self, cache: StageCache) -> FlowSession<'a> {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Attach a two-tier cache backed by the persistent store in `dir`
-    /// (created at run time if absent), so separate *processes* share
-    /// stage executions. Mutually exclusive with
-    /// [`cache`](FlowSession::cache); the directory is opened when the
-    /// session runs, and open failures surface as [`FlowError::Session`].
-    #[must_use]
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> FlowSession<'a> {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Byte-size cap for the [`cache_dir`](FlowSession::cache_dir) disk
-    /// tier (`0` = unbounded). Defaults to
-    /// [`crate::disk::DEFAULT_MAX_BYTES`].
-    #[must_use]
-    pub fn cache_max_bytes(mut self, max_bytes: u64) -> FlowSession<'a> {
-        self.cache_max_bytes = Some(max_bytes);
-        self
-    }
-
-    /// Attach a remote fleet tier: a `coold` daemon at `addr` consulted
-    /// when both the memory and disk tiers miss, and written through on
-    /// every computed stage. Composes with [`cache`](FlowSession::cache)
-    /// or [`cache_dir`](FlowSession::cache_dir) (with neither, a default
-    /// in-memory cache is created to host the remote tier). The daemon
-    /// being unreachable never fails the flow — the cache degrades to
-    /// local-only with a one-line warning per outage streak.
-    #[must_use]
-    pub fn cache_remote(mut self, addr: impl Into<String>) -> FlowSession<'a> {
-        self.cache_remote = Some(addr.into());
         self
     }
 
@@ -219,9 +181,8 @@ impl<'a> FlowSession<'a> {
     ///
     /// [`FlowError::Session`] for invalid configurations (no target, more
     /// than one — call [`run_family`](FlowSession::run_family) —,
-    /// incompatible seeded cost model, wrong-sized mapping, two cache
-    /// sources); otherwise any stage's failure, exactly as the engine
-    /// reports it.
+    /// incompatible seeded cost model, wrong-sized mapping); otherwise any
+    /// stage's failure, exactly as the engine reports it.
     pub fn run(self) -> Result<FlowArtifacts, FlowError> {
         let prepared = self.prepare_single()?;
         prepared.run_full()
@@ -282,7 +243,7 @@ impl<'a> FlowSession<'a> {
         let graph = self.graph;
         let targets = self.targets.clone();
         let options = self.resolved_options()?;
-        let cache = self.resolved_cache()?;
+        let cache = self.cache;
         let seed = match self.cost {
             Some(cost) => {
                 check_cost_compatible(&cost, &targets[0])?;
@@ -386,7 +347,7 @@ impl<'a> FlowSession<'a> {
         };
         let graph = self.graph;
         let options = self.resolved_options()?;
-        let cache = self.resolved_cache()?;
+        let cache = self.cache;
         let seed = match self.cost {
             Some(cost) => {
                 check_cost_compatible(&cost, &base)?;
@@ -418,10 +379,7 @@ impl<'a> FlowSession<'a> {
             options.clone()
         };
         let results = cool_ir::par::par_map(&targets, options.jobs, |target| {
-            let engine = match cache.as_ref() {
-                Some(cache) => Engine::standard().with_cache(cache.clone()),
-                None => Engine::standard(),
-            };
+            let engine = standard_engine(cache.as_ref());
             let mut cx =
                 FlowContext::with_cost(graph, target, &point_options, base_cost.retarget(target));
             let trace = engine.run_until(&mut cx, Some(ArtifactSlot::Partition))?;
@@ -469,54 +427,6 @@ impl<'a> FlowSession<'a> {
         Ok(options)
     }
 
-    /// The cache the run should attach, opening the persistent directory
-    /// if one was configured.
-    fn resolved_cache(&self) -> Result<Option<StageCache>, FlowError> {
-        let local = match (&self.cache, &self.cache_dir) {
-            (Some(_), Some(_)) => {
-                return Err(FlowError::Session(
-                    "both .cache(..) and .cache_dir(..) configured; pick one cache source \
-                     (a persistent cache is created from the directory alone)"
-                        .to_string(),
-                ))
-            }
-            (Some(cache), None) => Some(cache.clone()),
-            (None, Some(dir)) => {
-                let max_bytes = self
-                    .cache_max_bytes
-                    .unwrap_or(crate::disk::DEFAULT_MAX_BYTES);
-                let cache =
-                    StageCache::persistent_with_cap(StageCache::DEFAULT_CAPACITY, dir, max_bytes)
-                        .map_err(|e| {
-                        FlowError::Session(format!(
-                            "cannot open cache directory `{}`: {e}",
-                            dir.display()
-                        ))
-                    })?;
-                Some(cache)
-            }
-            (None, None) => match self.cache_max_bytes {
-                Some(_) => {
-                    return Err(FlowError::Session(
-                        "cache_max_bytes configured without .cache_dir(..); the byte cap \
-                         applies to the persistent disk tier only"
-                            .to_string(),
-                    ))
-                }
-                None => None,
-            },
-        };
-        // The remote tier composes onto whatever resolved locally; with
-        // no local cache configured, a default in-memory cache hosts it.
-        match &self.cache_remote {
-            None => Ok(local),
-            Some(addr) => {
-                let remote = std::sync::Arc::new(crate::remote::RemoteStore::new(addr.clone()));
-                Ok(Some(local.unwrap_or_default().with_remote(remote)))
-            }
-        }
-    }
-
     /// Validate a single-target session and resolve every input.
     fn prepare_single(self) -> Result<PreparedRun<'a>, FlowError> {
         let target = match self.targets.len() {
@@ -534,7 +444,6 @@ impl<'a> FlowSession<'a> {
             }
         };
         let options = self.resolved_options()?;
-        let cache = self.resolved_cache()?;
         let cost = match self.cost {
             Some(cost) => {
                 check_cost_compatible(&cost, &target)?;
@@ -546,7 +455,7 @@ impl<'a> FlowSession<'a> {
             graph: self.graph,
             target,
             options,
-            cache,
+            cache: self.cache,
             cost,
         })
     }
@@ -563,22 +472,15 @@ struct PreparedRun<'a> {
 }
 
 impl PreparedRun<'_> {
-    fn engine(&self) -> Engine {
-        match &self.cache {
-            Some(cache) => Engine::standard().with_cache(cache.clone()),
-            None => Engine::standard(),
-        }
-    }
-
     fn run_full(self) -> Result<FlowArtifacts, FlowError> {
-        let engine = self.engine();
+        let engine = standard_engine(self.cache.as_ref());
         let mut cx = self.context();
         let trace = engine.run(&mut cx)?;
         FlowArtifacts::from_context(cx, trace)
     }
 
     fn run_prefix(self, stop: ArtifactSlot) -> Result<PartialArtifacts, FlowError> {
-        let engine = self.engine();
+        let engine = standard_engine(self.cache.as_ref());
         let mut cx = self.context();
         let trace = engine.run_until(&mut cx, Some(stop))?;
         Ok(PartialArtifacts::from_context(cx, trace, stop))
@@ -594,6 +496,14 @@ impl PreparedRun<'_> {
     }
 }
 
+/// The standard engine, with the session's cache attached if it has one.
+fn standard_engine(cache: Option<&StageCache>) -> Engine {
+    match cache {
+        Some(cache) => Engine::standard().with_cache(cache.clone()),
+        None => Engine::standard(),
+    }
+}
+
 /// The spec→cost prefix of one board: the family's single estimation.
 /// Returns the estimated (or passed-through) cost model plus the prefix
 /// trace — the evidence [`FamilyArtifacts::cost_estimations`] counts.
@@ -604,10 +514,7 @@ fn estimate_prefix(
     cache: Option<&StageCache>,
     seed: Option<CostModel>,
 ) -> Result<(CostModel, FlowTrace), FlowError> {
-    let engine = match cache {
-        Some(cache) => Engine::standard().with_cache(cache.clone()),
-        None => Engine::standard(),
-    };
+    let engine = standard_engine(cache);
     let mut cx = match seed {
         Some(cost) => FlowContext::with_cost(graph, target, options, cost),
         None => FlowContext::new(graph, target, options),
@@ -626,10 +533,7 @@ fn run_one(
     cache: Option<&StageCache>,
     cost: Option<CostModel>,
 ) -> Result<FlowArtifacts, FlowError> {
-    let engine = match cache {
-        Some(cache) => Engine::standard().with_cache(cache.clone()),
-        None => Engine::standard(),
-    };
+    let engine = standard_engine(cache);
     let mut cx = match cost {
         Some(cost) => FlowContext::with_cost(graph, target, options, cost),
         None => FlowContext::new(graph, target, options),

@@ -62,7 +62,8 @@ pub trait Stage {
     /// say, FPGA area budgets still share their `spec` prefix.
     ///
     /// Cacheable stages must only *fill empty* context slots; a stage
-    /// that mutates artifacts in place must return `None`.
+    /// that mutates artifacts in place must return `None` (debug builds
+    /// fail such a run with [`FlowError::Consistency`]).
     fn cache_key(&self, cx: &FlowContext<'_>) -> Option<u128> {
         let mut h = ContentHasher::new();
         cx.target.content_hash(&mut h);
@@ -88,10 +89,11 @@ pub trait Stage {
 
     /// The artifact slots this stage may fill. Purely a safety
     /// declaration: after a miss the engine checks the slots actually
-    /// deposited against this list and refuses to cache the execution on
-    /// a mismatch (an undeclared write means the declarations — possibly
-    /// including `reads` — are wrong, and a wrong entry must never be
-    /// served). The default — every slot — accepts anything.
+    /// deposited against this list and fails the run with
+    /// [`FlowError::Consistency`] on a mismatch (an undeclared write
+    /// means the declarations — possibly including `reads` — are wrong,
+    /// and a wrong entry must never be served). The default — every
+    /// slot — accepts anything.
     fn writes(&self) -> &'static [ArtifactSlot] {
         &ArtifactSlot::ALL
     }

@@ -75,7 +75,6 @@ fn every_artifact_type_roundtrips_on_seeded_random_flows() {
             partitioner: Partitioner::Genetic(GaOptions {
                 population: 6 + rng.random_range(0..4),
                 generations: 3,
-                threads: 1,
                 seed: rng.next_u64(),
                 ..GaOptions::default()
             }),

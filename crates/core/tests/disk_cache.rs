@@ -73,7 +73,6 @@ fn equalizer8_options(jobs: usize) -> FlowOptions {
         partitioner: Partitioner::Genetic(GaOptions {
             population: 8,
             generations: 4,
-            threads: 1,
             ..GaOptions::default()
         }),
         ..FlowOptions::quick()
@@ -299,7 +298,6 @@ fn partitioner_option_change_reruns_partition_only_while_content_holds() {
     ga_changed.partitioner = Partitioner::Genetic(GaOptions {
         population: 8,
         generations: 6,
-        threads: 1,
         ..GaOptions::default()
     });
     let cache = StageCache::default();

@@ -89,7 +89,6 @@ fn equalizer8_options(jobs: usize) -> FlowOptions {
         partitioner: Partitioner::Genetic(GaOptions {
             population: 8,
             generations: 4,
-            threads: 1,
             ..GaOptions::default()
         }),
         ..FlowOptions::quick()

@@ -265,12 +265,14 @@ pub fn synthesize_many(
 /// design layout) so stale entries can never alias fresh ones.
 pub const NODE_KEY_SCHEME: &str = "cool-node-key/hls-v1";
 
-/// Content-addressed cache key for one node's synthesized design.
+/// Content-addressed cache key for one node's synthesized design — the
+/// key the flow engine's `hls` stage files designs under in its
+/// node-level cache tier.
 ///
 /// The node *name* is deliberately excluded: the design is a pure function
 /// of `(behavior, options)`, so identically-behaving nodes share one entry
-/// and a rename alone never invalidates the cache. Consumers re-label
-/// cached designs with [`HlsDesign::renamed`].
+/// and a rename alone never invalidates the cache. Consumers store designs
+/// unnamed and re-label hits with [`HlsDesign::renamed`].
 #[must_use]
 pub fn node_key(behavior: &Behavior, options: &HlsOptions) -> u128 {
     let mut h = ContentHasher::new();
@@ -278,86 +280,6 @@ pub fn node_key(behavior: &Behavior, options: &HlsOptions) -> u128 {
     behavior.content_hash(&mut h);
     options.content_hash(&mut h);
     h.finish()
-}
-
-/// Where a cached per-node design was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheSource {
-    /// Served from the in-memory tier.
-    Memory,
-    /// Promoted from an on-disk tier.
-    Disk,
-}
-
-/// Per-node provenance reported by [`synthesize_many_cached`], in input
-/// order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeOutcome {
-    /// The node's design was synthesized from scratch this run.
-    Computed,
-    /// Reused from the cache's in-memory tier.
-    ReusedMemory,
-    /// Reused from the cache's disk tier.
-    ReusedDisk,
-}
-
-/// A node-level design cache consulted by [`synthesize_many_cached`].
-///
-/// `cool_hls` cannot depend on the flow engine, so the two-tier stage cache
-/// implements this trait on the engine side and hands it down. Entries are
-/// stored name-independently (conventionally under the empty name); lookups
-/// return the stored design plus which tier served it.
-pub trait NodeCache {
-    /// Fetch the design stored under `key`, if any.
-    fn lookup(&self, key: u128) -> Option<(HlsDesign, CacheSource)>;
-    /// Store `design` under `key`. Implementations should treat re-inserts
-    /// of an existing key as a no-op.
-    fn insert(&self, key: u128, design: &HlsDesign);
-}
-
-/// [`synthesize_many`], with a per-node cache tier in front of it.
-///
-/// Each node is keyed by [`node_key`]; hits are re-labelled with the node's
-/// name and only the misses are fanned out over `jobs` worker threads (in
-/// input order, so results stay bit-identical to a serial cold run for any
-/// `jobs` value). Freshly synthesized designs are inserted under the empty
-/// name, making entries shareable across identically-behaving nodes and
-/// across sessions. Returns the designs plus one [`NodeOutcome`] per input.
-#[must_use]
-pub fn synthesize_many_cached(
-    items: &[(&str, &Behavior)],
-    options: &HlsOptions,
-    jobs: usize,
-    cache: &dyn NodeCache,
-) -> (Vec<HlsDesign>, Vec<NodeOutcome>) {
-    let mut results: Vec<Option<HlsDesign>> = vec![None; items.len()];
-    let mut outcomes = vec![NodeOutcome::Computed; items.len()];
-    let mut missing: Vec<(usize, u128)> = Vec::new();
-    for (i, (name, behavior)) in items.iter().enumerate() {
-        let key = node_key(behavior, options);
-        match cache.lookup(key) {
-            Some((design, source)) => {
-                debug_assert!(design.name.is_empty(), "cached designs are unnamed");
-                results[i] = Some(design.renamed(name));
-                outcomes[i] = match source {
-                    CacheSource::Memory => NodeOutcome::ReusedMemory,
-                    CacheSource::Disk => NodeOutcome::ReusedDisk,
-                };
-            }
-            None => missing.push((i, key)),
-        }
-    }
-    let todo: Vec<(&str, &Behavior)> = missing.iter().map(|&(i, _)| items[i]).collect();
-    let fresh = synthesize_many(&todo, options, jobs);
-    for (&(i, key), design) in missing.iter().zip(fresh) {
-        cache.insert(key, &design.renamed(""));
-        results[i] = Some(design);
-    }
-    let designs = results
-        .into_iter()
-        .map(|d| d.expect("every slot is a hit or a miss"))
-        .collect();
-    (designs, outcomes)
 }
 
 pub use cool_ir::par::effective_jobs;
@@ -492,32 +414,6 @@ mod tests {
         }
     }
 
-    /// HashMap-backed [`NodeCache`] for exercising the cached fan-out.
-    #[derive(Default)]
-    struct MapCache {
-        map: std::cell::RefCell<std::collections::HashMap<u128, HlsDesign>>,
-        hits: std::cell::Cell<usize>,
-        inserts: std::cell::Cell<usize>,
-    }
-
-    impl NodeCache for MapCache {
-        fn lookup(&self, key: u128) -> Option<(HlsDesign, CacheSource)> {
-            let hit = self.map.borrow().get(&key).cloned();
-            if hit.is_some() {
-                self.hits.set(self.hits.get() + 1);
-            }
-            hit.map(|d| (d, CacheSource::Memory))
-        }
-
-        fn insert(&self, key: u128, design: &HlsDesign) {
-            self.inserts.set(self.inserts.get() + 1);
-            self.map
-                .borrow_mut()
-                .entry(key)
-                .or_insert_with(|| design.clone());
-        }
-    }
-
     #[test]
     fn node_key_ignores_name_but_not_behavior_or_options() {
         let opts = HlsOptions::default();
@@ -529,51 +425,6 @@ mod tests {
             ..Default::default()
         };
         assert_ne!(mac, node_key(&Behavior::mac(), &wide));
-    }
-
-    #[test]
-    fn cached_fanout_matches_uncached_at_any_job_count() {
-        let behaviors = [
-            Behavior::mac(),
-            Behavior::unary(Op::Neg),
-            Behavior::binary(Op::Div),
-            Behavior::binary(Op::Mul),
-            Behavior::mac(), // duplicate of item 0: shares a key
-        ];
-        let items: Vec<(&str, &Behavior)> = ["a", "b", "c", "d", "e"]
-            .iter()
-            .zip(&behaviors)
-            .map(|(n, b)| (*n, b))
-            .collect();
-        let opts = HlsOptions::default();
-        let plain = synthesize_many(&items, &opts, 1);
-        for jobs in [1usize, 2, 4, 0] {
-            let cache = MapCache::default();
-            // Cold pass: everything computed, nothing served.
-            let (cold, outcomes) = synthesize_many_cached(&items, &opts, jobs, &cache);
-            assert_eq!(cold, plain, "cold jobs={jobs}");
-            assert!(outcomes.iter().all(|o| *o == NodeOutcome::Computed));
-            // Warm pass: byte-identical designs, all served from cache.
-            let (warm, outcomes) = synthesize_many_cached(&items, &opts, jobs, &cache);
-            assert_eq!(warm, plain, "warm jobs={jobs}");
-            assert!(outcomes.iter().all(|o| *o == NodeOutcome::ReusedMemory));
-            assert_eq!(cache.hits.get(), items.len());
-        }
-    }
-
-    #[test]
-    fn cached_designs_are_stored_unnamed_and_relabelled() {
-        let cache = MapCache::default();
-        let opts = HlsOptions::default();
-        let b = Behavior::mac();
-        let (first, _) = synthesize_many_cached(&[("alpha", &b)], &opts, 1, &cache);
-        assert_eq!(first[0].name, "alpha");
-        assert!(cache.map.borrow().values().all(|d| d.name.is_empty()));
-        // A rename alone is a cache hit: same behaviour, new label.
-        let (second, outcomes) = synthesize_many_cached(&[("beta", &b)], &opts, 1, &cache);
-        assert_eq!(second[0].name, "beta");
-        assert_eq!(outcomes, vec![NodeOutcome::ReusedMemory]);
-        assert_eq!(second[0].renamed("alpha"), first[0]);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   winner depend on arrival order.)
 //! * **Tie-preserving pruning.** A subtree is pruned only when its LP
 //!   bound is *strictly worse* than the incumbent by more than
-//!   [`TIE_EPS`]. Any assignment that ties the optimum has LP bounds at
+//!   `TIE_EPS`. Any assignment that ties the optimum has LP bounds at
 //!   most its own objective along its whole path, so its subtree is
 //!   never pruned and every run — serial or parallel — examines every
 //!   tied optimum. The candidate set over which the total order picks
@@ -50,7 +50,7 @@ use crate::{IlpError, Problem, Solution, SolveOptions, Status, VarKind};
 /// The basis a node hands its children for warm starts: one column
 /// index per tableau row, shared (both children and possibly an
 /// offloaded frontier copy reference the same parent basis).
-type WarmBasis = Option<Arc<Vec<usize>>>;
+type WarmBasis = Arc<Vec<usize>>;
 
 /// Bound slack within which a subtree may still contain a solution that
 /// ties the incumbent (floating-point noise in the LP bound is orders of
@@ -78,11 +78,10 @@ struct OpenSubtree {
     fixings: Vec<Fixing>,
     /// The parent's optimal basis: the subtree's root LP differs from
     /// the parent LP by one bound flip, so the dual simplex re-solves it
-    /// from here in a handful of pivots. `None` falls back to a cold
-    /// two-phase solve. Determinism note: the basis is a pure function
-    /// of the fixing path from the root (each node's LP inputs are
-    /// path-local), so warm starts never make the solve depend on
-    /// worker scheduling.
+    /// from here in a handful of pivots. Determinism note: the basis is
+    /// a pure function of the fixing path from the root (each node's LP
+    /// inputs are path-local), so warm starts never make the solve
+    /// depend on worker scheduling.
     basis: WarmBasis,
 }
 
@@ -131,7 +130,6 @@ struct Shared<'a> {
     /// kernels (the root LP, solved before workers exist, gets the full
     /// kernel budget instead).
     lp_opts: LpOptions,
-    warm_start: bool,
     int_tol: f64,
     jobs: usize,
     frontier: Mutex<Frontier>,
@@ -173,7 +171,6 @@ impl<'a> Shared<'a> {
                 pricing: options.pricing,
                 jobs: 1,
             },
-            warm_start: options.warm_start,
             int_tol: options.int_tol,
             jobs,
             frontier_len: AtomicUsize::new(heap.len()),
@@ -361,16 +358,13 @@ fn expand_subtree(shared: &Shared<'_>, ws: &mut SimplexWorkspace, sub: OpenSubtr
         // from the *bottom* of the stack and keeps OFFLOAD_KEEP ≥ 2
         // entries) re-solve the held parent tableau in place with one
         // bound delta; far children re-factorize the stored parent basis
-        // and repair with dual simplex; no basis means a cold two-phase
-        // solve. The warm/delta paths themselves fall back cold — on
-        // deterministic triggers only — when the basis is stale.
-        let solved = if shared.warm_start && use_delta && ws.delta_applicable(&fixings) {
+        // and repair with dual simplex. Both paths fall back to a cold
+        // two-phase solve — on deterministic triggers only — when the
+        // basis is stale.
+        let solved = if use_delta && ws.delta_applicable(&fixings) {
             solve_lp_delta(shared.p, &fixings, ws, &shared.lp_opts)
         } else {
-            match basis.as_deref().filter(|_| shared.warm_start) {
-                Some(warm) => solve_lp_warm(shared.p, &fixings, ws, &shared.lp_opts, warm),
-                None => solve_lp_opts(shared.p, &fixings, ws, &shared.lp_opts),
-            }
+            solve_lp_warm(shared.p, &fixings, ws, &shared.lp_opts, &basis)
         };
         let lp = match solved {
             Ok(lp) => lp,
@@ -408,7 +402,7 @@ fn expand_subtree(shared: &Shared<'_>, ws: &mut SimplexWorkspace, sub: OpenSubtr
         // Depth-first: push the less likely branch first so the rounded
         // branch is explored next. Both children warm-start from this
         // node's optimal basis.
-        let node_basis: WarmBasis = Some(Arc::new(ws.basis().to_vec()));
+        let node_basis: WarmBasis = Arc::new(ws.basis().to_vec());
         let v = lp.values[branch_var];
         let (first, second) = if v >= 0.5 { (1.0, 0.0) } else { (0.0, 1.0) };
         let mut far = fixings.clone();
@@ -484,11 +478,7 @@ pub(crate) fn solve(p: &Problem, options: &SolveOptions) -> Result<Solution, Ilp
         jobs,
     };
     let root = solve_lp_opts(p, &[], &mut ws, &root_opts)?;
-    let root_basis: WarmBasis = if options.warm_start {
-        Some(Arc::new(ws.basis().to_vec()))
-    } else {
-        None
-    };
+    let root_basis: WarmBasis = Arc::new(ws.basis().to_vec());
 
     let shared = Shared::new(
         p,

@@ -236,11 +236,6 @@ pub struct SolveOptions {
     /// rules, the pivot *path* (and therefore wall-clock and
     /// [`Solution::pivots`]) differs.
     pub pricing: PricingRule,
-    /// Warm-start child LPs from the parent node's optimal basis (a
-    /// bound flip usually re-solves in a handful of dual pivots instead
-    /// of a cold two-phase solve). Disable for a cold-solve baseline;
-    /// the returned [`Solution`] is identical either way.
-    pub warm_start: bool,
 }
 
 impl Default for SolveOptions {
@@ -251,7 +246,6 @@ impl Default for SolveOptions {
             int_tol: 1e-6,
             jobs: 1,
             pricing: PricingRule::SteepestEdge,
-            warm_start: true,
         }
     }
 }
@@ -369,26 +363,6 @@ impl Problem {
     pub fn solve(&self, options: &SolveOptions) -> Result<Solution, IlpError> {
         self.check()?;
         branch_bound::solve(self, options)
-    }
-
-    /// Solve only the LP relaxation (binaries relaxed to `[0, 1]`).
-    ///
-    /// # Errors
-    ///
-    /// Same model errors as [`Problem::solve`], plus
-    /// [`IlpError::Infeasible`] / [`IlpError::Unbounded`].
-    pub fn solve_relaxation(&self) -> Result<Solution, IlpError> {
-        self.check()?;
-        let mut ws = simplex::SimplexWorkspace::new();
-        let lp = simplex::solve_lp_with(self, &[], &mut ws)?;
-        Ok(Solution {
-            objective: lp.objective,
-            best_bound: lp.objective,
-            values: lp.values,
-            status: Status::Optimal,
-            nodes_explored: 0,
-            pivots: ws.stats().pivots,
-        })
     }
 
     fn check(&self) -> Result<(), IlpError> {

@@ -16,7 +16,7 @@
 //!   `d_j² / (1 + ‖B⁻¹A_j‖²)`, which takes orders of magnitude fewer
 //!   pivots than Bland's rule on degenerate instances — with a
 //!   no-objective-progress counter that falls back to Bland's rule after
-//!   [`STALL_LIMIT`] stalled pivots (and re-engages steepest edge once
+//!   `STALL_LIMIT` stalled pivots (and re-engages steepest edge once
 //!   the objective moves again), so termination stays guaranteed without
 //!   paying Bland's walk everywhere. Artificial variables are *virtual*:
 //!   a row that cannot start on its slack carries a "marker" basis entry
@@ -31,7 +31,7 @@
 //!   trouble — a singular re-factorization, an inconsistent dependent
 //!   row, or a dual repair that overruns its pivot cap — falls back to
 //!   the cold path, deterministically.
-//! * **In-place delta re-solve** ([`solve_lp_delta`]): the immediate
+//! * **In-place delta re-solve** (`solve_lp_delta`): the immediate
 //!   child on the depth-first hot path narrows exactly one bound on top
 //!   of the tableau the workspace *already holds*, so the rebuild and
 //!   re-factorization are skipped entirely: the RHS update is `O(m)`
@@ -41,7 +41,7 @@
 //!   (reduced costs + steepest-edge norms in one traversal) and the pivot
 //!   update fan rows out over scoped worker threads. Determinism is the
 //!   invariant: partial sums are accumulated over **fixed chunk
-//!   boundaries** ([`CHUNK`] rows) and reduced in chunk-index order for
+//!   boundaries** (`CHUNK` rows) and reduced in chunk-index order for
 //!   *every* job count — serial runs use the identical chunked fold — so
 //!   the solve is bit-for-bit identical at jobs 1/2/4.
 //!
@@ -201,7 +201,7 @@ pub struct SimplexStats {
 /// After a successful solve the workspace additionally *holds* that
 /// solve's final tableau, and remembers which `(problem shape, fixings)`
 /// it belongs to: [`SimplexWorkspace::delta_applicable`] tells a caller
-/// whether the next solve can run as an in-place [`solve_lp_delta`].
+/// whether the next solve can run as an in-place `solve_lp_delta`.
 #[derive(Debug, Default)]
 pub struct SimplexWorkspace {
     lo: Vec<f64>,
@@ -223,7 +223,7 @@ pub struct SimplexWorkspace {
     /// Copy of the normalized pivot row for the parallel update pass.
     prow: Vec<f64>,
     /// Whether the held tableau is the final state of a successful solve
-    /// (and therefore a valid base for [`solve_lp_delta`]).
+    /// (and therefore a valid base for `solve_lp_delta`).
     state_valid: bool,
     /// The fixings of the held tableau's solve.
     state_fixings: Vec<Fixing>,
@@ -250,7 +250,7 @@ impl SimplexWorkspace {
     }
 
     /// Whether `fixings` extends the held solve's fixings by exactly one
-    /// entry — the precondition for [`solve_lp_delta`] (which must also
+    /// entry — the precondition for `solve_lp_delta` (which must also
     /// see the *same* [`Problem`]).
     #[must_use]
     pub fn delta_applicable(&self, fixings: &[Fixing]) -> bool {
@@ -348,29 +348,6 @@ pub fn solve_lp_with(
     ws: &mut SimplexWorkspace,
 ) -> Result<LpSolution, IlpError> {
     solve_lp_opts(p, fixings, ws, &LpOptions::default())
-}
-
-/// [`solve_lp_with`] with an explicit per-phase pivot budget.
-///
-/// # Errors
-///
-/// Same as [`solve_lp`], plus [`IlpError::PivotLimit`] when either
-/// simplex phase exhausts `max_pivots` before terminating.
-pub fn solve_lp_bounded(
-    p: &Problem,
-    fixings: &[Fixing],
-    ws: &mut SimplexWorkspace,
-    max_pivots: usize,
-) -> Result<LpSolution, IlpError> {
-    solve_lp_opts(
-        p,
-        fixings,
-        ws,
-        &LpOptions {
-            max_pivots,
-            ..LpOptions::default()
-        },
-    )
 }
 
 /// Cold solve: build the two-phase tableau and run primal simplex under
@@ -907,7 +884,7 @@ fn ratio_test(ws: &SimplexWorkspace, b: &Build, entering: usize) -> Option<usize
 /// steepest-edge norms `γ_j = 1 + Σ_i t[i][j]²` for the real columns
 /// `0..rhs_col`.
 ///
-/// Rows are split into [`CHUNK`]-sized chunks with *fixed* boundaries;
+/// Rows are split into `CHUNK`-sized chunks with *fixed* boundaries;
 /// each chunk's partial sums are accumulated independently (possibly on
 /// a worker thread) and folded in chunk-index order. Serial and
 /// parallel runs execute the identical additions in the identical

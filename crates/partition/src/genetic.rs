@@ -6,8 +6,8 @@
 //! violation, so the GA optimizes exactly what the paper's schedule
 //! executes; the other objectives re-rank the same evaluated schedule
 //! by area or cut communication volume (lexicographically, with
-//! makespan breaking ties). Population evaluation is parallelized with
-//! `std::thread` scoped workers.
+//! makespan breaking ties). Population evaluation fans out over
+//! [`cool_ir::par::par_map`] workers.
 
 use cool_cost::{CommScheme, CostModel};
 use cool_ir::rng::StdRng;
@@ -35,8 +35,10 @@ pub struct GaOptions {
     pub objective: Objective,
     /// Penalty in cycles per CLB of FPGA over-subscription.
     pub area_penalty: u64,
-    /// Worker threads for fitness evaluation (1 = sequential).
-    pub threads: usize,
+    /// Worker threads for fitness evaluation (`1` = serial, `0` = all
+    /// cores). The flow engine sets it from `FlowOptions::jobs`; the
+    /// result is identical for every value.
+    pub jobs: usize,
 }
 
 impl Default for GaOptions {
@@ -50,7 +52,7 @@ impl Default for GaOptions {
             scheme: CommScheme::MemoryMapped,
             objective: Objective::Makespan,
             area_penalty: 50,
-            threads: 4,
+            jobs: 1,
         }
     }
 }
@@ -95,12 +97,12 @@ pub fn partition(
         );
     }
 
-    let evaluate_one = |chrom: &[u8]| -> Fitness {
+    let evaluate_one = |chrom: &Vec<u8>| -> Fitness {
         let mapping = decode(g, &functions, &resources, chrom);
         fitness(g, &mapping, cost, options)
     };
 
-    let mut fitnesses: Vec<Fitness> = evaluate_population(&pop, options.threads, &evaluate_one);
+    let mut fitnesses: Vec<Fitness> = cool_ir::par::par_map(&pop, options.jobs, evaluate_one);
     let mut best = best_of(&pop, &fitnesses);
 
     for _gen in 0..options.generations {
@@ -127,7 +129,7 @@ pub fn partition(
             next.push(child);
         }
         pop = next;
-        fitnesses = evaluate_population(&pop, options.threads, &evaluate_one);
+        fitnesses = cool_ir::par::par_map(&pop, options.jobs, evaluate_one);
         let gen_best = best_of(&pop, &fitnesses);
         if gen_best.1 < best.1 {
             best = gen_best;
@@ -202,28 +204,6 @@ fn fitness(
     }
 }
 
-fn evaluate_population(
-    pop: &[Vec<u8>],
-    threads: usize,
-    evaluate_one: &(impl Fn(&[u8]) -> Fitness + Sync),
-) -> Vec<Fitness> {
-    if threads <= 1 || pop.len() < 8 {
-        return pop.iter().map(|c| evaluate_one(c)).collect();
-    }
-    let chunk = pop.len().div_ceil(threads);
-    let mut out = vec![(0u64, 0u64); pop.len()];
-    std::thread::scope(|scope| {
-        for (slot, chunk_items) in out.chunks_mut(chunk).zip(pop.chunks(chunk)) {
-            scope.spawn(move || {
-                for (o, c) in slot.iter_mut().zip(chunk_items) {
-                    *o = evaluate_one(c);
-                }
-            });
-        }
-    });
-    out
-}
-
 fn tournament(pop: &[Vec<u8>], fit: &[Fitness], k: usize, rng: &mut StdRng) -> usize {
     let mut best = rng.random_range(0..pop.len());
     for _ in 1..k.max(1) {
@@ -283,7 +263,6 @@ mod tests {
         GaOptions {
             population: 12,
             generations: 8,
-            threads: 1,
             ..Default::default()
         }
     }
@@ -334,7 +313,7 @@ mod tests {
             &g,
             &cost,
             &GaOptions {
-                threads: 1,
+                jobs: 1,
                 ..quick_options()
             },
         )
@@ -343,7 +322,7 @@ mod tests {
             &g,
             &cost,
             &GaOptions {
-                threads: 4,
+                jobs: 4,
                 ..quick_options()
             },
         )

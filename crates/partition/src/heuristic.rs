@@ -243,7 +243,6 @@ pub fn partition(
         int_tol: 1e-6,
         jobs: options.milp.jobs,
         pricing: options.milp.pricing,
-        ..cool_ilp::SolveOptions::default()
     })?;
 
     // --- 4. Expand clusters back to nodes. ---

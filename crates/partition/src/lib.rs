@@ -64,7 +64,7 @@ impl ContentHash for HeuristicOptions {
 }
 
 impl ContentHash for GaOptions {
-    /// `threads` is deliberately excluded: population evaluation is
+    /// `jobs` is deliberately excluded: population evaluation is
     /// order-preserving, so the worker count changes wall-clock only,
     /// never the returned colouring.
     fn content_hash(&self, h: &mut ContentHasher) {
@@ -260,7 +260,7 @@ impl Codec for GaOptions {
         self.scheme.encode(e);
         self.objective.encode(e);
         e.put_u64(self.area_penalty);
-        e.put_usize(self.threads);
+        e.put_usize(self.jobs);
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
@@ -273,7 +273,7 @@ impl Codec for GaOptions {
             scheme: CommScheme::decode(d)?,
             objective: cool_ir::Objective::decode(d)?,
             area_penalty: d.take_u64()?,
-            threads: d.take_usize()?,
+            jobs: d.take_usize()?,
         })
     }
 }

@@ -154,7 +154,6 @@ pub fn partition(
         int_tol: 1e-6,
         jobs: options.jobs,
         pricing: options.pricing,
-        ..SolveOptions::default()
     })?;
 
     // Extract mapping.

@@ -288,6 +288,11 @@ impl Parser {
         self.expect(&TokenKind::Colon, "`:`")?;
         let bits = self.expect_uint(i64::from(u16::MAX), "a bit width in 0..=65535")? as u16;
         self.expect(&TokenKind::Semi, "`;`")?;
+        // `add_input`/`add_output` panic on a taken name; a spec that
+        // declares one twice is an error like a duplicate `node`.
+        if self.graph.node_by_name(&name).is_some() {
+            return Err(IrError::DuplicateName(name).into());
+        }
         if input {
             self.graph.add_input(name, bits);
         } else {
@@ -544,6 +549,20 @@ mod tests {
         for src in cases {
             let err = parse(src).expect_err(src);
             assert!(!err.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn duplicate_primary_io_names_error_instead_of_panicking() {
+        for src in [
+            "design d; input x : 16; input x : 16; node f = neg; x -> f; output y : 16; f -> y;",
+            "design d; input x : 16; output y : 16; output y : 16;",
+            "design d; node x = neg; input x : 16;",
+        ] {
+            match parse(src) {
+                Err(SpecError::Ir(IrError::DuplicateName(_))) => {}
+                other => panic!("{src}: expected a duplicate-name error, got {other:?}"),
+            }
         }
     }
 

@@ -124,9 +124,10 @@ fn compress_chains(stg: &Stg) -> Stg {
 }
 
 /// Moore partition refinement on (output class, guarded successor class).
-/// With `jobs > 1` the per-state signature computation of each round runs
-/// on scoped worker threads; the fixpoint (and hence the result) does not
-/// depend on `jobs`.
+/// With `jobs > 1` the per-state signature computation of each round fans
+/// out over [`cool_ir::par::par_map`] workers, one contiguous run of
+/// states each; the fixpoint (and hence the result) does not depend on
+/// `jobs`.
 fn refine(stg: &Stg, jobs: usize) -> Stg {
     let n = stg.state_count();
     if n == 0 {
@@ -155,24 +156,18 @@ fn refine(stg: &Stg, jobs: usize) -> Stg {
             succ.dedup();
             (class[i], succ)
         };
-        let mut signatures: Vec<(usize, Vec<(Condition, usize)>)> = vec![(0, Vec::new()); n];
-        if jobs <= 1 || n < 64 {
-            for (i, slot) in signatures.iter_mut().enumerate() {
-                *slot = signature_of(i);
-            }
+        let signatures: Vec<(usize, Vec<(Condition, usize)>)> = if jobs <= 1 || n < 64 {
+            (0..n).map(signature_of).collect()
         } else {
             let chunk = n.div_ceil(jobs);
-            std::thread::scope(|scope| {
-                for (c, slots) in signatures.chunks_mut(chunk).enumerate() {
-                    let signature_of = &signature_of;
-                    scope.spawn(move || {
-                        for (k, slot) in slots.iter_mut().enumerate() {
-                            *slot = signature_of(c * chunk + k);
-                        }
-                    });
-                }
-            });
-        }
+            let starts: Vec<usize> = (0..n).step_by(chunk).collect();
+            cool_ir::par::par_map(&starts, jobs, |&s| {
+                (s..n.min(s + chunk)).map(&signature_of).collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+        };
         let mut uniq = signatures.clone();
         uniq.sort();
         uniq.dedup();

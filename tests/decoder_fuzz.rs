@@ -12,6 +12,14 @@
 //! * Mutants of every `Request` and `Response` kind go through their
 //!   codecs. Each must decode to an error or to a value that re-encodes
 //!   canonically, and none may panic.
+//! * About 10k mutants of printed specifications — deleted spans,
+//!   duplicated and swapped lines, replaced characters and numbers,
+//!   truncations — go through `cool_spec::parse`, which must return a
+//!   graph or a `SpecError`, never panic.
+//! * About 10k mutants of wire frames — bit flips, truncations, edits to
+//!   the length field, the version and the magic, trailing junk — go
+//!   through `read_frame`. Whatever it accepts must be a genuine frame
+//!   at the head of the mutant, and nothing may panic.
 
 use std::fs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +29,9 @@ use cool_repro::core::cache::{Entry, EntryKind, NodeArtifact};
 use cool_repro::core::disk::{self, decode_entry, FORMAT_VERSION};
 use cool_repro::core::server::{FlowRequest, FlowResponse, Request, Response, SimResponse};
 use cool_repro::core::{CacheStatsReply, FlowOptions, FlowSession, StageCache};
-use cool_repro::ir::codec::{from_bytes, to_bytes, Codec};
+use cool_repro::ir::codec::{
+    from_bytes, read_frame, to_bytes, write_frame, Codec, MAX_FRAME_PAYLOAD,
+};
 use cool_repro::ir::rng::StdRng;
 use cool_repro::ir::{ContentHasher, Target};
 use cool_repro::spec::{print_spec, workloads};
@@ -248,4 +258,154 @@ fn fuzz_codec<T: Codec + PartialEq + std::fmt::Debug>(values: &[T], seed: u64, p
 fn mutated_requests_and_responses_never_panic() {
     fuzz_codec(&requests(), 0xdec0_de02, 400);
     fuzz_codec(&responses(), 0xdec0_de03, 400);
+}
+
+/// Mutate spec text: delete a span, duplicate or swap lines, replace a
+/// character or a number, or truncate.
+fn mutate_spec(rng: &mut StdRng, spec: &str) -> String {
+    const PALETTE: &[char] = &[
+        ';', ':', '.', ',', '=', '-', '>', '(', ')', '{', '}', ' ', '\n', '0', '7', 'x', 'é',
+    ];
+    const NUMBERS: &[&str] = &["0", "-1", "65535", "65536", "99999999999999999999", "64"];
+    let mut chars: Vec<char> = spec.chars().collect();
+    let mut lines: Vec<&str> = spec.lines().collect();
+    let line = rng.random_range(0..lines.len());
+    match rng.random_range(0..6) {
+        0 => {
+            let at = rng.random_range(0..chars.len());
+            let end = chars.len().min(at + 1 + rng.random_range(0..16));
+            chars.drain(at..end);
+        }
+        // A statement declared twice — the shape of a copy-paste slip.
+        1 => {
+            let to = rng.random_range(0..lines.len() + 1);
+            lines.insert(to, lines[line]);
+            return lines.join("\n");
+        }
+        2 => {
+            let other = rng.random_range(0..lines.len());
+            lines.swap(line, other);
+            return lines.join("\n");
+        }
+        3 => {
+            let at = rng.random_range(0..chars.len());
+            chars[at] = PALETTE[rng.random_range(0..PALETTE.len())];
+        }
+        4 => {
+            let digits: Vec<usize> = (0..chars.len())
+                .filter(|&i| chars[i].is_ascii_digit())
+                .collect();
+            if let Some(&at) = digits.get(rng.random_range(0..digits.len().max(1))) {
+                let number = NUMBERS[rng.random_range(0..NUMBERS.len())];
+                chars.splice(at..=at, number.chars());
+            }
+        }
+        _ => chars.truncate(rng.random_range(0..chars.len())),
+    }
+    chars.into_iter().collect()
+}
+
+#[test]
+fn mutated_specs_parse_or_error_without_panicking() {
+    let specs: Vec<String> = [
+        workloads::equalizer(2),
+        workloads::fir(4),
+        workloads::incremental(2, 19),
+    ]
+    .iter()
+    .map(print_spec)
+    .collect();
+    let mut rng = StdRng::seed_from_u64(0xdec0_de04);
+    let mut accepted = 0;
+    for case in 0..10_000 {
+        let m = mutate_spec(&mut rng, &specs[case % specs.len()]);
+        let parsed = std::panic::catch_unwind(|| cool_repro::spec::parse(&m).is_ok());
+        match parsed {
+            Ok(ok) => accepted += usize::from(ok),
+            Err(_) => panic!("case {case}: the parser panicked on:\n{m}"),
+        }
+    }
+    // Most mutants are malformed, but not all: the loop reaches the
+    // graph builder, not just the lexer.
+    assert!((1..10_000).contains(&accepted), "{accepted} mutants parsed");
+}
+
+/// Framed payloads of several request and response kinds.
+fn valid_frames() -> Vec<Vec<u8>> {
+    let flow = FlowRequest {
+        spec: print_spec(&workloads::equalizer(2)),
+        target: Target::fuzzy_board(),
+        options: FlowOptions::quick(),
+    };
+    let payloads = [
+        to_bytes(&Request::Flow(flow)),
+        to_bytes(&Request::Ping),
+        to_bytes(&Request::CacheGet(0x0123_4567_89ab_cdef)),
+        to_bytes(&Response::CacheEntry(Some(vec![0xab; 40]))),
+        to_bytes(&Response::Error("spec error: line 3".into())),
+        Vec::new(),
+    ];
+    payloads
+        .iter()
+        .map(|p| {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, p).expect("a Vec takes every write");
+            frame
+        })
+        .collect()
+}
+
+#[test]
+fn mutated_frames_never_panic_and_accept_only_genuine_frames() {
+    /// Offsets of the version and length fields in a frame header.
+    const VERSION: usize = 8;
+    const LEN: usize = 12;
+    let frames = valid_frames();
+    for frame in &frames {
+        assert!(read_frame(&mut frame.as_slice()).unwrap().is_some());
+    }
+    let mut rng = StdRng::seed_from_u64(0xdec0_de05);
+    for case in 0..10_000 {
+        let mut m = frames[case % frames.len()].clone();
+        match case % 6 {
+            0 => {
+                for _ in 0..1 + rng.random_range(0..3) {
+                    let at = rng.random_range(0..m.len());
+                    m[at] ^= 1 << rng.random_range(0..8);
+                }
+            }
+            1 => m.truncate(rng.random_range(0..m.len())),
+            // A length off by a little, anywhere up to the allocation
+            // bound, or arbitrary.
+            2 => {
+                let len = u64::from_le_bytes(m[LEN..LEN + 8].try_into().unwrap());
+                let edited = match rng.random_range(0..3) {
+                    0 => len
+                        .wrapping_add(rng.random_range(0..64) as u64)
+                        .wrapping_sub(32),
+                    1 => rng.next_u64() % (MAX_FRAME_PAYLOAD + 1),
+                    _ => rng.next_u64(),
+                };
+                m[LEN..LEN + 8].copy_from_slice(&edited.to_le_bytes());
+            }
+            3 => m[VERSION + rng.random_range(0..4)] = rng.random_range(0..256) as u8,
+            4 => m[rng.random_range(0..VERSION)] = rng.random_range(0..256) as u8,
+            // Trailing junk: the first frame still reads, the junk is the
+            // next frame's problem.
+            _ => m.extend((0..1 + rng.random_range(0..32)).map(|_| rng.next_u64() as u8)),
+        }
+        let read = std::panic::catch_unwind(|| read_frame(&mut m.as_slice()));
+        match read {
+            Ok(Ok(Some(payload))) => {
+                let mut genuine = Vec::new();
+                write_frame(&mut genuine, &payload).expect("a Vec takes every write");
+                assert!(
+                    m.starts_with(&genuine),
+                    "case {case}: read_frame accepted a payload that is not the frame at the head"
+                );
+            }
+            Ok(Ok(None) | Err(_)) => {}
+            Err(_) => panic!("case {case}: read_frame panicked on {} bytes", m.len()),
+        }
+    }
 }

@@ -68,7 +68,6 @@ fn fuzzy_flow_with_all_three_partitioners() {
             partitioner: Partitioner::Genetic(GaOptions {
                 population: 8,
                 generations: 3,
-                threads: 1,
                 ..Default::default()
             }),
             ..quick()

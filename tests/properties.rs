@@ -176,7 +176,6 @@ fn genetic_always_feasible() {
         let opts = cool_repro::partition::GaOptions {
             population: 8,
             generations: 3,
-            threads: 1,
             seed,
             ..Default::default()
         };
