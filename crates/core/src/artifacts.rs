@@ -12,7 +12,7 @@ use cool_schedule::StaticSchedule;
 use cool_sim::{SimResult, Simulator};
 use cool_stg::{MemoryMap, MinimizeStats, Stg};
 
-use crate::stage::FlowContext;
+use crate::cache::{ArtifactSlot, Artifacts};
 use crate::timing::{FlowTrace, StageTimings};
 use crate::FlowError;
 
@@ -61,53 +61,43 @@ pub struct FlowArtifacts {
 }
 
 impl FlowArtifacts {
-    /// Assemble the artifact set from a completed engine context.
+    /// Assemble the artifact set of a completed run over `graph` on
+    /// `target` under `scheme`.
     ///
     /// # Errors
     ///
-    /// [`FlowError::MissingArtifact`] if a producing stage did not run
-    /// (i.e. a custom engine skipped part of the standard flow).
-    pub fn from_context(cx: FlowContext<'_>, trace: FlowTrace) -> Result<FlowArtifacts, FlowError> {
-        let timings = StageTimings::from_trace(&trace);
-        let scheme = cx.options.scheme;
+    /// [`FlowError::MissingArtifact`], with the slot's label, if a
+    /// producing stage did not run (i.e. a custom engine skipped part of
+    /// the standard flow).
+    pub fn new(
+        graph: PartitioningGraph,
+        target: Target,
+        scheme: CommScheme,
+        artifacts: Artifacts,
+        trace: FlowTrace,
+    ) -> Result<FlowArtifacts, FlowError> {
+        fn filled<T>(slot: Option<T>, which: ArtifactSlot) -> Result<T, FlowError> {
+            slot.ok_or(FlowError::MissingArtifact(which.label()))
+        }
+        let a = artifacts;
         Ok(FlowArtifacts {
-            graph: cx.graph.clone(),
-            target: cx.target.clone(),
-            cost: cx.cost.ok_or(FlowError::MissingArtifact("cost model"))?,
-            partition: cx
-                .partition
-                .ok_or(FlowError::MissingArtifact("partition result"))?,
-            schedule: cx
-                .schedule
-                .ok_or(FlowError::MissingArtifact("static schedule"))?,
-            stg: cx.stg.ok_or(FlowError::MissingArtifact("STG"))?,
-            stg_minimized: cx
-                .stg_minimized
-                .ok_or(FlowError::MissingArtifact("minimized STG"))?,
-            minimize_stats: cx
-                .minimize_stats
-                .ok_or(FlowError::MissingArtifact("minimization stats"))?,
-            memory_map: cx
-                .memory_map
-                .ok_or(FlowError::MissingArtifact("memory map"))?,
-            hls_designs: cx
-                .hls_designs
-                .ok_or(FlowError::MissingArtifact("HLS designs"))?,
-            controller: cx
-                .controller
-                .ok_or(FlowError::MissingArtifact("system controller"))?,
-            encoding: cx
-                .encoding
-                .ok_or(FlowError::MissingArtifact("state encoding"))?,
-            placements: cx
-                .placements
-                .ok_or(FlowError::MissingArtifact("placements"))?,
-            netlist: cx.netlist.ok_or(FlowError::MissingArtifact("netlist"))?,
-            vhdl: cx.vhdl.ok_or(FlowError::MissingArtifact("VHDL units"))?,
-            c_programs: cx
-                .c_programs
-                .ok_or(FlowError::MissingArtifact("C programs"))?,
-            timings,
+            graph,
+            target,
+            cost: filled(a.cost, ArtifactSlot::Cost)?,
+            partition: filled(a.partition, ArtifactSlot::Partition)?,
+            schedule: filled(a.schedule, ArtifactSlot::Schedule)?,
+            stg: filled(a.stg, ArtifactSlot::Stg)?,
+            stg_minimized: filled(a.stg_minimized, ArtifactSlot::StgMinimized)?,
+            minimize_stats: filled(a.minimize_stats, ArtifactSlot::MinimizeStats)?,
+            memory_map: filled(a.memory_map, ArtifactSlot::MemoryMap)?,
+            hls_designs: filled(a.hls_designs, ArtifactSlot::HlsDesigns)?,
+            controller: filled(a.controller, ArtifactSlot::Controller)?,
+            encoding: filled(a.encoding, ArtifactSlot::Encoding)?,
+            placements: filled(a.placements, ArtifactSlot::Placements)?,
+            netlist: filled(a.netlist, ArtifactSlot::Netlist)?,
+            vhdl: filled(a.vhdl, ArtifactSlot::Vhdl)?,
+            c_programs: filled(a.c_programs, ArtifactSlot::CPrograms)?,
+            timings: StageTimings::from_trace(&trace),
             trace,
             scheme,
         })

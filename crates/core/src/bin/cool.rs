@@ -156,16 +156,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
             println!("{}", art.report());
             warn_on_truncation(art.partition.optimality, art.partition.gap);
             check_expectations(&art.trace, rest)?;
-            if rest.iter().any(|a| a == "--trace") {
-                println!(
-                    "engine trace ({} worker(s)):",
-                    cool_ir::par::effective_jobs(options.jobs, usize::MAX)
-                );
-                print!("{}", art.trace.to_table());
-                if let Some(cache) = &cache {
-                    println!("{}", cache.stats().summary());
-                }
-            }
+            print_trace(rest, &art.trace, options.jobs, cache.as_ref());
             let dir = PathBuf::from(out);
             fs::create_dir_all(&dir)?;
             for (name, source) in &art.vhdl {
@@ -252,16 +243,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
             for (name, value) in &r.outputs {
                 println!("  {name} = {value}");
             }
-            if rest.iter().any(|a| a == "--trace") {
-                println!(
-                    "engine trace ({} worker(s)):",
-                    cool_ir::par::effective_jobs(options.jobs, usize::MAX)
-                );
-                print!("{}", art.trace.to_table());
-                if let Some(cache) = &cache {
-                    println!("{}", cache.stats().summary());
-                }
-            }
+            print_trace(rest, &art.trace, options.jobs, cache.as_ref());
             Ok(())
         }
         "pareto" => {
@@ -459,14 +441,35 @@ fn configure_session<'g>(
     options: &FlowOptions,
     rest: &[String],
 ) -> Result<(FlowSession<'g>, Option<StageCache>), Box<dyn Error>> {
-    let mut session = FlowSession::new(graph)
+    let session = FlowSession::new(graph)
         .target(target_flag(rest)?)
         .options(options.clone());
     let cache = cache_from_flags(rest)?;
-    if let Some(cache) = &cache {
-        session = session.cache(cache.clone());
+    Ok((with_cache(session, cache.as_ref()), cache))
+}
+
+/// `session` with `cache` attached, when there is one.
+fn with_cache<'g>(session: FlowSession<'g>, cache: Option<&StageCache>) -> FlowSession<'g> {
+    match cache {
+        Some(cache) => session.cache(cache.clone()),
+        None => session,
     }
-    Ok((session, cache))
+}
+
+/// The `--trace` block of `cool flow` and `cool simulate`: the engine
+/// table of `trace` and, with a cache, the cache's counters.
+fn print_trace(rest: &[String], trace: &FlowTrace, jobs: usize, cache: Option<&StageCache>) {
+    if !rest.iter().any(|a| a == "--trace") {
+        return;
+    }
+    println!(
+        "engine trace ({} worker(s)):",
+        cool_ir::par::effective_jobs(jobs, usize::MAX)
+    );
+    print!("{}", trace.to_table());
+    if let Some(cache) = cache {
+        println!("{}", cache.stats().summary());
+    }
 }
 
 /// The stage cache the flags ask for, if any. `--cache-remote ADDR`
@@ -513,14 +516,11 @@ fn run_family_mode(
     if targets.is_empty() {
         return Err("--targets expects a comma-separated board list (e.g. fuzzy@48,fuzzy)".into());
     }
-    let mut session = FlowSession::new(graph)
+    let session = FlowSession::new(graph)
         .targets(targets)
         .options(options.clone());
     let cache = cache_from_flags(rest)?;
-    if let Some(cache) = &cache {
-        session = session.cache(cache.clone());
-    }
-    let family = session.run_family()?;
+    let family = with_cache(session, cache.as_ref()).run_family()?;
     print!("{}", family.report());
     for art in &family {
         warn_on_truncation(art.partition.optimality, art.partition.gap);
@@ -560,14 +560,14 @@ fn run_partial_mode(
         println!(
             "  {:<16} {}",
             slot.name(),
-            if partial.is_filled(slot) {
+            if partial.artifacts().is_filled(slot) {
                 "produced"
             } else {
                 "-"
             }
         );
     }
-    if let Ok(p) = partial.partition() {
+    if let Ok(p) = partial.artifacts().partition() {
         println!(
             "partition: {} sw node(s), {} hw node(s), makespan {} cycles ({})",
             p.software_nodes(graph),
@@ -782,11 +782,17 @@ fn run_watch(rest: &[String]) -> Result<(), Box<dyn Error>> {
         match watch_once(&spec_text, &target, &base_options, cache.as_ref(), rest) {
             Ok(art) => {
                 let t = &art.trace;
+                // `cache_hits` counts every tier; the disk and remote
+                // shares are subsets of it.
+                let remote = match t.remote_hits() {
+                    0 => String::new(),
+                    n => format!(", {n} remote"),
+                };
                 println!(
-                    "run #{runs}: ok in {:.2?} — {} stage hit(s) ({} disk), {} node artifact(s) \
-                     reused ({} disk), {} synthesized fresh",
+                    "run #{runs}: ok in {:.2?} — {} stage hit(s) ({} disk{remote}), {} node \
+                     artifact(s) reused ({} disk), {} synthesized fresh",
                     t0.elapsed(),
-                    t.cache_hits() + t.disk_hits(),
+                    t.cache_hits(),
                     t.disk_hits(),
                     t.node_reused(),
                     t.node_disk_reused(),
@@ -824,13 +830,10 @@ fn watch_once(
     let graph = cool_spec::parse(spec)?;
     let mut options = base_options.clone();
     apply_pins(&mut options, &graph, rest)?;
-    let mut session = FlowSession::new(&graph)
+    let session = FlowSession::new(&graph)
         .target(target.clone())
         .options(options);
-    if let Some(cache) = cache {
-        session = session.cache(cache.clone());
-    }
-    let art = session.run()?;
+    let art = with_cache(session, cache).run()?;
     check_expectations(&art.trace, rest)?;
     Ok(art)
 }

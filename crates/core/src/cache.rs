@@ -8,8 +8,8 @@
 //! The [`StageCache`] makes those prefixes incremental: the engine keys
 //! every stage on a 128-bit content digest of precisely what the stage
 //! reads (the dependency-DAG keys of [`crate::engine::Engine::run`]), and
-//! on a key match it skips the stage and restores the artifacts the
-//! original run deposited into the [`FlowContext`].
+//! on a key match it skips the stage and restores the [`Artifacts`] the
+//! original run deposited into the [`crate::stage::FlowContext`].
 //!
 //! Two kinds of [`Entry`] share the cache: stage executions and, one
 //! level below, per-node artifacts ([`NodeArtifact`]). Both take one
@@ -41,134 +41,167 @@ use cool_ir::codec::{Codec, CodecError, Decoder, Encoder};
 use cool_ir::hash::digest;
 
 use crate::disk::{DiskStore, Load};
-use crate::stage::FlowContext;
+use crate::FlowError;
 
 /// The content digest a stage execution is cached under.
 pub type StageKey = u128;
 
-/// The single source of truth for the artifact slot ⇄ index mapping:
-/// invokes `$macro_cb!(slot_name, index, Variant)` once per slot of
-/// [`FlowContext`] / [`ArtifactDelta`] / [`ArtifactSlot`]. Adding a slot
-/// means adding one line here (plus the `ArtifactDelta` field and the
-/// `ArtifactSlot` variant); every flags/capture/apply/digest/codec loop
-/// below derives from it.
-macro_rules! for_each_slot {
-    ($macro_cb:ident) => {
-        $macro_cb!(cost, 0, Cost);
-        $macro_cb!(partition, 1, Partition);
-        $macro_cb!(schedule, 2, Schedule);
-        $macro_cb!(stg, 3, Stg);
-        $macro_cb!(stg_minimized, 4, StgMinimized);
-        $macro_cb!(minimize_stats, 5, MinimizeStats);
-        $macro_cb!(memory_map, 6, MemoryMap);
-        $macro_cb!(hw_nodes, 7, HwNodes);
-        $macro_cb!(hls_designs, 8, HlsDesigns);
-        $macro_cb!(controller, 9, Controller);
-        $macro_cb!(encoding, 10, Encoding);
-        $macro_cb!(netlist, 11, Netlist);
-        $macro_cb!(vhdl, 12, Vhdl);
-        $macro_cb!(placements, 13, Placements);
-        $macro_cb!(c_programs, 14, CPrograms);
+/// Number of artifact slots.
+pub const SLOT_COUNT: usize = 15;
+
+/// Generates every per-slot item from the one slot table below: the
+/// [`ArtifactSlot`] enum with its [`ArtifactSlot::ALL`], names and
+/// labels, and the [`Artifacts`] struct with its accessors, fill check,
+/// digest, delta capture/apply and codec.
+macro_rules! artifact_slots {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty => $variant:ident, $label:literal;)*) => {
+        /// One artifact slot, as a value — the vocabulary of
+        /// [`crate::stage::Stage::reads`] / [`crate::stage::Stage::writes`]
+        /// declarations and of the per-slot content digests the engine
+        /// keys stages with.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum ArtifactSlot {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl ArtifactSlot {
+            /// Every slot, in index order.
+            pub const ALL: [ArtifactSlot; SLOT_COUNT] = [$(ArtifactSlot::$variant),*];
+
+            /// The slot's field name in [`Artifacts`].
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(ArtifactSlot::$variant => stringify!($field),)*
+                }
+            }
+
+            /// What [`FlowError::MissingArtifact`] calls the slot.
+            #[must_use]
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(ArtifactSlot::$variant => $label,)*
+                }
+            }
+        }
+
+        /// The artifacts of one flow, one `Option` per [`ArtifactSlot`]:
+        /// the blackboard of a [`crate::stage::FlowContext`], the delta a
+        /// cached stage restores, and the body of a
+        /// [`crate::PartialArtifacts`]. Each accessor returns
+        /// [`FlowError::MissingArtifact`] while its slot is empty, so a
+        /// consumer that outruns its producer gets a diagnosable error
+        /// instead of a panic.
+        #[derive(Debug, Clone, Default)]
+        pub struct Artifacts {
+            $($(#[$doc])* pub $field: Option<$ty>,)*
+        }
+
+        impl Artifacts {
+            $(
+                #[doc = concat!("The ", $label, ".")]
+                ///
+                /// # Errors
+                ///
+                /// [`FlowError::MissingArtifact`] while the slot is empty.
+                pub fn $field(&self) -> Result<&$ty, FlowError> {
+                    self.$field.as_ref().ok_or(FlowError::MissingArtifact($label))
+                }
+            )*
+
+            /// `true` when `slot` is filled.
+            #[must_use]
+            pub fn is_filled(&self, slot: ArtifactSlot) -> bool {
+                match slot {
+                    $(ArtifactSlot::$variant => self.$field.is_some(),)*
+                }
+            }
+
+            /// The content digest of `slot`, or `None` while it is empty.
+            #[must_use]
+            pub fn digest(&self, slot: ArtifactSlot) -> Option<u128> {
+                match slot {
+                    $(ArtifactSlot::$variant => self.$field.as_ref().map(digest),)*
+                }
+            }
+
+            /// A clone of every slot that is filled now but was not in
+            /// `before`: the delta one stage deposited.
+            #[must_use]
+            pub fn capture(&self, before: ArtifactFlags) -> Artifacts {
+                Artifacts {
+                    $($field: if before.slot_filled(ArtifactSlot::$variant) {
+                        None
+                    } else {
+                        self.$field.clone()
+                    },)*
+                }
+            }
+
+            /// Fill every slot `delta` fills, cloning its artifacts (the
+            /// delta stays in the cache for further hits).
+            pub fn apply(&mut self, delta: &Artifacts) {
+                $(if let Some(v) = &delta.$field {
+                    self.$field = Some(v.clone());
+                })*
+            }
+        }
+
+        impl Codec for Artifacts {
+            fn encode(&self, e: &mut Encoder) {
+                $(self.$field.encode(e);)*
+            }
+
+            fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(Artifacts {
+                    $($field: Option::decode(d)?,)*
+                })
+            }
+        }
     };
 }
 
-/// Number of artifact slots in a [`FlowContext`].
-pub const SLOT_COUNT: usize = 15;
-
-/// One artifact slot of the [`FlowContext`], as a value — the vocabulary
-/// of [`crate::stage::Stage::reads`] / [`crate::stage::Stage::writes`]
-/// declarations and of the per-slot content digests the engine keys
-/// stages with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArtifactSlot {
+// The one slot table: field, type, variant and missing-artifact label of
+// every slot, in index order. The order is also the entry encoding, and
+// the names feed the disk tier's slot-layout digest.
+artifact_slots! {
     /// The cost model (`cost` stage, or pre-seeded).
-    Cost,
-    /// The partitioning outcome.
-    Partition,
-    /// The static schedule.
-    Schedule,
-    /// The raw STG.
-    Stg,
-    /// The minimized STG.
-    StgMinimized,
-    /// STG minimization statistics.
-    MinimizeStats,
-    /// The communication memory map.
-    MemoryMap,
-    /// Hardware-mapped function nodes.
-    HwNodes,
-    /// Full-effort HLS designs.
-    HlsDesigns,
-    /// The synthesized system controller.
-    Controller,
-    /// The controller state encoding.
-    Encoding,
-    /// The generated netlist.
-    Netlist,
-    /// Emitted VHDL units.
-    Vhdl,
-    /// Per-device CLB placements.
-    Placements,
-    /// Generated C programs.
-    CPrograms,
+    cost: cool_cost::CostModel => Cost, "cost model";
+    /// The partitioning outcome (`partition`).
+    partition: cool_partition::PartitionResult => Partition, "partition result";
+    /// The static schedule (`schedule`).
+    schedule: cool_schedule::StaticSchedule => Schedule, "static schedule";
+    /// The raw STG (`stg`).
+    stg: cool_stg::Stg => Stg, "STG";
+    /// The minimized STG (`stg`).
+    stg_minimized: cool_stg::Stg => StgMinimized, "minimized STG";
+    /// STG minimization statistics (`stg`).
+    minimize_stats: cool_stg::MinimizeStats => MinimizeStats, "minimization stats";
+    /// The communication memory map (`stg`).
+    memory_map: cool_stg::MemoryMap => MemoryMap, "memory map";
+    /// Hardware-mapped function nodes in graph order (`hls`).
+    hw_nodes: Vec<cool_ir::NodeId> => HwNodes, "hardware node list";
+    /// Full-effort HLS designs, parallel to `hw_nodes` (`hls`).
+    hls_designs: Vec<cool_hls::HlsDesign> => HlsDesigns, "HLS designs";
+    /// The synthesized system controller (`rtl`).
+    controller: cool_rtl::SystemController => Controller, "system controller";
+    /// The controller state encoding (`rtl`).
+    encoding: cool_rtl::encoding::StateEncoding => Encoding, "state encoding";
+    /// The generated netlist (`rtl`).
+    netlist: cool_rtl::Netlist => Netlist, "netlist";
+    /// Emitted VHDL units `(file name, source)` (`rtl`).
+    vhdl: Vec<(String, String)> => Vhdl, "VHDL units";
+    /// CLB placements per FPGA hosting logic (`rtl`).
+    placements: Vec<(cool_ir::Resource, cool_rtl::place::Placement)> => Placements, "placements";
+    /// Generated C programs (`codegen`).
+    c_programs: Vec<cool_codegen::CProgram> => CPrograms, "C programs";
 }
 
 impl ArtifactSlot {
-    /// Every slot, in [`FlowContext`] declaration order.
-    pub const ALL: [ArtifactSlot; SLOT_COUNT] = {
-        let mut all = [ArtifactSlot::Cost; SLOT_COUNT];
-        macro_rules! fill_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                all[$idx] = ArtifactSlot::$variant;
-            };
-        }
-        for_each_slot!(fill_slot);
-        all
-    };
-
     /// Dense index of the slot (its position in [`ArtifactSlot::ALL`]).
     #[must_use]
     pub fn index(self) -> usize {
-        let mut idx = 0;
-        macro_rules! index_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                if matches!(self, ArtifactSlot::$variant) {
-                    idx = $idx;
-                }
-            };
-        }
-        for_each_slot!(index_slot);
-        idx
-    }
-
-    /// `true` when this slot of `cx` is filled.
-    #[must_use]
-    pub fn is_filled(self, cx: &FlowContext<'_>) -> bool {
-        let mut filled = false;
-        macro_rules! filled_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                if matches!(self, ArtifactSlot::$variant) {
-                    filled = cx.$slot.is_some();
-                }
-            };
-        }
-        for_each_slot!(filled_slot);
-        filled
-    }
-
-    /// The slot's field name in [`FlowContext`].
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        let mut name = "";
-        macro_rules! name_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                if matches!(self, ArtifactSlot::$variant) {
-                    name = stringify!($slot);
-                }
-            };
-        }
-        for_each_slot!(name_slot);
-        name
+        self as usize
     }
 }
 
@@ -189,7 +222,18 @@ impl Codec for ArtifactSlot {
     }
 }
 
-/// Which artifact slots of a [`FlowContext`] are filled.
+impl Artifacts {
+    /// Number of filled slots.
+    #[must_use]
+    pub fn slot_count(&self) -> usize {
+        ArtifactSlot::ALL
+            .into_iter()
+            .filter(|&slot| self.is_filled(slot))
+            .count()
+    }
+}
+
+/// Which artifact slots are filled.
 ///
 /// Captured before a stage runs so the engine can snapshot exactly the
 /// slots the stage deposited (cached stages fill empty slots only; a
@@ -201,173 +245,18 @@ pub struct ArtifactFlags {
 }
 
 impl ArtifactFlags {
-    /// Snapshot which slots of `cx` are currently filled.
+    /// Snapshot which slots of `artifacts` are currently filled.
     #[must_use]
-    pub fn of(cx: &FlowContext<'_>) -> ArtifactFlags {
-        let mut flags = [false; SLOT_COUNT];
-        macro_rules! flag_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                flags[$idx] = cx.$slot.is_some();
-            };
+    pub fn of(artifacts: &Artifacts) -> ArtifactFlags {
+        ArtifactFlags {
+            flags: ArtifactSlot::ALL.map(|slot| artifacts.is_filled(slot)),
         }
-        for_each_slot!(flag_slot);
-        ArtifactFlags { flags }
     }
 
     /// Whether `slot` was filled in this snapshot.
     #[must_use]
     pub fn slot_filled(&self, slot: ArtifactSlot) -> bool {
         self.flags[slot.index()]
-    }
-}
-
-/// Per-slot content digests of a [`FlowContext`]'s filled artifact slots
-/// — the inputs of the engine's DAG stage keys. `None` means the slot is
-/// empty.
-pub type SlotDigests = [Option<u128>; SLOT_COUNT];
-
-/// Digest every filled slot of `cx` (used once at engine start to cover
-/// pre-seeded artifacts such as [`FlowContext::with_cost`] cost models).
-#[must_use]
-pub fn slot_digests(cx: &FlowContext<'_>) -> SlotDigests {
-    let mut table = [None; SLOT_COUNT];
-    update_slot_digests(cx, ArtifactFlags::default(), &mut table);
-    table
-}
-
-/// Digest every slot of `cx` that is filled now but was not in `before`,
-/// recording the digests into `table` and returning them as the
-/// `(slot, digest)` list the cache stores alongside the entry.
-pub fn update_slot_digests(
-    cx: &FlowContext<'_>,
-    before: ArtifactFlags,
-    table: &mut SlotDigests,
-) -> Vec<(ArtifactSlot, u128)> {
-    let mut written = Vec::new();
-    macro_rules! digest_slot {
-        ($slot:ident, $idx:expr, $variant:ident) => {
-            if !before.flags[$idx] {
-                if let Some(v) = &cx.$slot {
-                    let d = digest(v);
-                    table[$idx] = Some(d);
-                    written.push((ArtifactSlot::$variant, d));
-                }
-            }
-        };
-    }
-    for_each_slot!(digest_slot);
-    written
-}
-
-/// Debug-build contract check: the name of the first slot that was
-/// filled in `before` but whose content no longer matches its recorded
-/// digest in `table` (mutated in place), or that was emptied. `None`
-/// when the cacheable-stage contract — fill empty slots only — held.
-#[cfg(debug_assertions)]
-#[must_use]
-pub fn find_mutated_slot(
-    cx: &FlowContext<'_>,
-    before: ArtifactFlags,
-    table: &SlotDigests,
-) -> Option<&'static str> {
-    macro_rules! check_slot {
-        ($slot:ident, $idx:expr, $variant:ident) => {
-            if before.flags[$idx] {
-                match &cx.$slot {
-                    Some(v) if table[$idx] == Some(digest(v)) => {}
-                    _ => return Some(ArtifactSlot::$variant.name()),
-                }
-            }
-        };
-    }
-    for_each_slot!(check_slot);
-    None
-}
-
-/// The artifacts one stage deposited into the context: a clone of every
-/// slot that was empty before the stage ran and filled afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct ArtifactDelta {
-    cost: Option<cool_cost::CostModel>,
-    partition: Option<cool_partition::PartitionResult>,
-    schedule: Option<cool_schedule::StaticSchedule>,
-    stg: Option<cool_stg::Stg>,
-    stg_minimized: Option<cool_stg::Stg>,
-    minimize_stats: Option<cool_stg::MinimizeStats>,
-    memory_map: Option<cool_stg::MemoryMap>,
-    hw_nodes: Option<Vec<cool_ir::NodeId>>,
-    hls_designs: Option<Vec<cool_hls::HlsDesign>>,
-    controller: Option<cool_rtl::SystemController>,
-    encoding: Option<cool_rtl::encoding::StateEncoding>,
-    netlist: Option<cool_rtl::Netlist>,
-    vhdl: Option<Vec<(String, String)>>,
-    placements: Option<Vec<(cool_ir::Resource, cool_rtl::place::Placement)>>,
-    c_programs: Option<Vec<cool_codegen::CProgram>>,
-}
-
-impl ArtifactDelta {
-    /// Clone every slot of `cx` that is filled now but was not filled in
-    /// `before`.
-    #[must_use]
-    pub fn capture(cx: &FlowContext<'_>, before: ArtifactFlags) -> ArtifactDelta {
-        let mut delta = ArtifactDelta::default();
-        macro_rules! capture_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                if !before.flags[$idx] {
-                    delta.$slot = cx.$slot.clone();
-                }
-            };
-        }
-        for_each_slot!(capture_slot);
-        delta
-    }
-
-    /// Deposit the captured artifacts back into `cx` (cloning; the delta
-    /// stays in the cache for further hits).
-    pub fn apply(&self, cx: &mut FlowContext<'_>) {
-        macro_rules! apply_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                if let Some(v) = &self.$slot {
-                    cx.$slot = Some(v.clone());
-                }
-            };
-        }
-        for_each_slot!(apply_slot);
-    }
-
-    /// Number of artifact slots this delta restores.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        let mut n = 0;
-        macro_rules! count_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                n += usize::from(self.$slot.is_some());
-            };
-        }
-        for_each_slot!(count_slot);
-        n
-    }
-}
-
-impl Codec for ArtifactDelta {
-    fn encode(&self, e: &mut Encoder) {
-        macro_rules! encode_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                self.$slot.encode(e);
-            };
-        }
-        for_each_slot!(encode_slot);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let mut delta = ArtifactDelta::default();
-        macro_rules! decode_slot {
-            ($slot:ident, $idx:expr, $variant:ident) => {
-                delta.$slot = Option::decode(d)?;
-            };
-        }
-        for_each_slot!(decode_slot);
-        Ok(delta)
     }
 }
 
@@ -441,7 +330,7 @@ pub enum Entry {
     /// One stage execution.
     Stage {
         /// The artifacts the stage deposited.
-        delta: Arc<ArtifactDelta>,
+        delta: Arc<Artifacts>,
         /// Digests of the slots the delta fills, so a hit can extend the
         /// engine's slot-digest table without re-hashing the artifacts.
         writes: Arc<Vec<(ArtifactSlot, u128)>>,
@@ -486,7 +375,7 @@ pub struct NodeHit {
 #[derive(Debug, Clone)]
 pub struct CacheHit {
     /// The artifacts to restore.
-    pub delta: Arc<ArtifactDelta>,
+    pub delta: Arc<Artifacts>,
     /// Digests of the restored slots.
     pub writes: Arc<Vec<(ArtifactSlot, u128)>>,
     /// Wall-clock the original execution took.
@@ -931,7 +820,7 @@ impl StageCache {
     pub fn insert(
         &self,
         key: StageKey,
-        delta: ArtifactDelta,
+        delta: Artifacts,
         writes: Vec<(ArtifactSlot, u128)>,
         cost: Duration,
     ) {
@@ -1040,7 +929,7 @@ mod tests {
     fn lookup_miss_then_hit_counts() {
         let cache = StageCache::new(8);
         assert!(cache.lookup(1).is_none());
-        cache.insert(1, ArtifactDelta::default(), Vec::new(), ms(5));
+        cache.insert(1, Artifacts::default(), Vec::new(), ms(5));
         let hit = cache.lookup(1).expect("hit");
         assert_eq!(hit.delta.slot_count(), 0);
         assert_eq!(hit.saved, ms(5));
@@ -1056,11 +945,11 @@ mod tests {
     #[test]
     fn lru_bound_evicts_least_recent() {
         let cache = StageCache::new(2);
-        cache.insert(1, ArtifactDelta::default(), Vec::new(), ms(1));
-        cache.insert(2, ArtifactDelta::default(), Vec::new(), ms(1));
+        cache.insert(1, Artifacts::default(), Vec::new(), ms(1));
+        cache.insert(2, Artifacts::default(), Vec::new(), ms(1));
         // Touch key 1 so key 2 is the LRU victim.
         assert!(cache.lookup(1).is_some());
-        cache.insert(3, ArtifactDelta::default(), Vec::new(), ms(1));
+        cache.insert(3, Artifacts::default(), Vec::new(), ms(1));
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(1).is_some(), "recently used entry survives");
         assert!(cache.lookup(2).is_none(), "LRU entry evicted");
@@ -1072,7 +961,7 @@ mod tests {
     fn clones_share_one_store() {
         let cache = StageCache::new(4);
         let clone = cache.clone();
-        clone.insert(9, ArtifactDelta::default(), Vec::new(), ms(2));
+        clone.insert(9, Artifacts::default(), Vec::new(), ms(2));
         assert!(cache.lookup(9).is_some());
         assert_eq!(cache.stats().hits, clone.stats().hits);
     }
@@ -1080,7 +969,7 @@ mod tests {
     #[test]
     fn summary_mentions_counters() {
         let cache = StageCache::new(4);
-        cache.insert(1, ArtifactDelta::default(), Vec::new(), ms(1));
+        cache.insert(1, Artifacts::default(), Vec::new(), ms(1));
         let _ = cache.lookup(1);
         let s = cache.stats().summary();
         assert!(s.contains("hit"), "{s}");
@@ -1093,7 +982,7 @@ mod tests {
         let vhdl = || NodeArtifact::Vhdl("entity probe is end;".to_string());
         let cache = StageCache::new(4);
         cache.insert_node(1, vhdl());
-        cache.insert(2, ArtifactDelta::default(), Vec::new(), ms(1));
+        cache.insert(2, Artifacts::default(), Vec::new(), ms(1));
         assert!(cache.lookup(1).is_none());
         assert!(cache.lookup_node(2).is_none());
         assert!(cache.lookup_node(1).is_some(), "the node entry stays");
@@ -1104,7 +993,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let writer = StageCache::persistent(4, &dir).unwrap();
         writer.insert_node(1, vhdl());
-        writer.insert(2, ArtifactDelta::default(), Vec::new(), ms(1));
+        writer.insert(2, Artifacts::default(), Vec::new(), ms(1));
         let reader = StageCache::persistent(4, &dir).unwrap();
         assert!(reader.lookup(1).is_none());
         assert!(reader.lookup_node(2).is_none());
@@ -1139,9 +1028,9 @@ mod tests {
 
     #[test]
     fn empty_delta_codec_roundtrips() {
-        let delta = ArtifactDelta::default();
+        let delta = Artifacts::default();
         let bytes = cool_ir::codec::to_bytes(&delta);
-        let back: ArtifactDelta = cool_ir::codec::from_bytes(&bytes).unwrap();
+        let back: Artifacts = cool_ir::codec::from_bytes(&bytes).unwrap();
         assert_eq!(back.slot_count(), 0);
         assert_eq!(cool_ir::codec::to_bytes(&back), bytes);
     }

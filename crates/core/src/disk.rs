@@ -24,7 +24,7 @@
 //! ([`crate::cache::EntryKind`]):
 //!
 //! * kind `0` — a stage execution: `(cost_nanos: u64, writes:
-//!   Vec<(ArtifactSlot, u128)>, delta: ArtifactDelta)` with the
+//!   Vec<(ArtifactSlot, u128)>, delta: Artifacts)` with the
 //!   canonical [`cool_ir::codec`] encoding — the original execution's
 //!   wall-clock (what a hit "saves"), the content digests of the slots
 //!   the delta fills (so the engine can extend its slot-digest table
@@ -83,7 +83,7 @@ use std::time::Duration;
 use cool_ir::codec::{from_bytes, to_bytes, Encoder};
 use cool_ir::ContentHasher;
 
-use crate::cache::{ArtifactDelta, ArtifactSlot, Entry, EntryKind, NodeArtifact, StageKey};
+use crate::cache::{ArtifactSlot, Artifacts, Entry, EntryKind, NodeArtifact, StageKey};
 
 /// Entry file magic.
 const MAGIC: [u8; 8] = *b"COOLCCH\0";
@@ -133,7 +133,7 @@ pub enum Load {
     /// A valid stage entry.
     Hit {
         /// The artifacts to restore.
-        delta: Arc<ArtifactDelta>,
+        delta: Arc<Artifacts>,
         /// Digests of the slots the delta fills.
         writes: Arc<Vec<(ArtifactSlot, u128)>>,
         /// Wall-clock the original execution took.
@@ -368,7 +368,7 @@ impl DiskStore {
     pub fn store(
         &self,
         key: StageKey,
-        delta: &ArtifactDelta,
+        delta: &Artifacts,
         writes: &[(ArtifactSlot, u128)],
         cost: Duration,
     ) -> io::Result<bool> {
@@ -546,9 +546,9 @@ fn checksum(payload: &[u8]) -> u128 {
 
 /// Digest of the artifact-slot layout the payload encoding depends on:
 /// the slot names in index order. Folded into every entry header so
-/// that changing the slot set — the one edit the `for_each_slot!` macro
-/// invites — invalidates old entries mechanically even when the
-/// [`FORMAT_VERSION`] bump was forgotten. It does NOT cover the
+/// that changing the slot set — the one edit the slot table in
+/// [`crate::cache`] invites — invalidates old entries mechanically even
+/// when the [`FORMAT_VERSION`] bump was forgotten. It does NOT cover the
 /// per-type byte encodings; a `Codec` impl change still requires the
 /// version bump (see [`FORMAT_VERSION`]).
 fn layout_digest() -> u128 {
@@ -562,7 +562,7 @@ fn layout_digest() -> u128 {
 /// The decoded contents of one stage entry's payload body: the artifact
 /// delta, the digests of the slots it fills, and the original
 /// execution's wall-clock cost.
-pub type DecodedEntry = (ArtifactDelta, Vec<(ArtifactSlot, u128)>, Duration);
+pub type DecodedEntry = (Artifacts, Vec<(ArtifactSlot, u128)>, Duration);
 
 /// Validate one entry file's envelope — magic, version, layout digest,
 /// length, checksum — and split the payload into `(kind, body)`. `None`
@@ -598,7 +598,7 @@ fn split_entry(bytes: &[u8]) -> Option<(u8, &[u8])> {
 
 /// Decode a stage entry's payload body. `None` on any malformation.
 fn decode_stage_body(body: &[u8]) -> Option<DecodedEntry> {
-    let (cost_nanos, writes, delta): (u64, Vec<(ArtifactSlot, u128)>, ArtifactDelta) =
+    let (cost_nanos, writes, delta): (u64, Vec<(ArtifactSlot, u128)>, Artifacts) =
         from_bytes(body).ok()?;
     Some((delta, writes, Duration::from_nanos(cost_nanos)))
 }
@@ -668,7 +668,7 @@ pub fn encode_entry(entry: &Entry, version: u32) -> Vec<u8> {
 /// [`encode_entry`] for a stage entry given by its parts.
 #[must_use]
 pub fn encode_entry_with_version(
-    delta: &ArtifactDelta,
+    delta: &Artifacts,
     writes: &[(ArtifactSlot, u128)],
     cost: Duration,
     version: u32,
@@ -701,11 +701,11 @@ mod tests {
         let writes = vec![(ArtifactSlot::Cost, 42u128)];
         let cost = Duration::from_micros(123);
         assert!(store
-            .store(7, &ArtifactDelta::default(), &writes, cost)
+            .store(7, &Artifacts::default(), &writes, cost)
             .unwrap());
         assert!(
             !store
-                .store(7, &ArtifactDelta::default(), &writes, cost)
+                .store(7, &Artifacts::default(), &writes, cost)
                 .unwrap(),
             "existing entries are not rewritten"
         );
@@ -732,9 +732,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let store = DiskStore::open(&dir).unwrap();
         let cost = Duration::from_micros(5);
-        store
-            .store(1, &ArtifactDelta::default(), &[], cost)
-            .unwrap();
+        store.store(1, &Artifacts::default(), &[], cost).unwrap();
         // Bit-flip inside the payload.
         let path = store.entry_path(1);
         let mut bytes = fs::read(&path).unwrap();
@@ -746,15 +744,13 @@ mod tests {
 
         // Version bump.
         let future =
-            encode_entry_with_version(&ArtifactDelta::default(), &[], cost, FORMAT_VERSION + 1);
+            encode_entry_with_version(&Artifacts::default(), &[], cost, FORMAT_VERSION + 1);
         fs::write(store.entry_path(2), &future).unwrap();
         assert!(matches!(store.load(2), Load::Evicted));
 
         // Layout mismatch: a flipped byte in the header's layout digest
         // must read as a different slot layout and evict.
-        store
-            .store(5, &ArtifactDelta::default(), &[], cost)
-            .unwrap();
+        store.store(5, &Artifacts::default(), &[], cost).unwrap();
         let path = store.entry_path(5);
         let mut bytes = fs::read(&path).unwrap();
         bytes[14] ^= 0x01;
@@ -762,9 +758,7 @@ mod tests {
         assert!(matches!(store.load(5), Load::Evicted));
 
         // Truncation.
-        store
-            .store(3, &ArtifactDelta::default(), &[], cost)
-            .unwrap();
+        store.store(3, &Artifacts::default(), &[], cost).unwrap();
         let path = store.entry_path(3);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
@@ -783,7 +777,7 @@ mod tests {
         let seed = DiskStore::open_with_cap(&dir, 0).unwrap();
         let writes = vec![(ArtifactSlot::Cost, 7u128); 8]; // pad the payload
         for key in 1u128..=4 {
-            seed.store(key, &ArtifactDelta::default(), &writes, Duration::ZERO)
+            seed.store(key, &Artifacts::default(), &writes, Duration::ZERO)
                 .unwrap();
             // Distinct mtimes even on coarse-timestamp filesystems.
             std::thread::sleep(Duration::from_millis(15));
@@ -807,7 +801,7 @@ mod tests {
         // entry just written.
         std::thread::sleep(Duration::from_millis(15));
         capped
-            .store(5, &ArtifactDelta::default(), &writes, Duration::ZERO)
+            .store(5, &Artifacts::default(), &writes, Duration::ZERO)
             .unwrap();
         assert_eq!(capped.size_evictions(), 3);
         assert!(matches!(capped.load(3), Load::Miss), "LRU victim");
@@ -831,7 +825,7 @@ mod tests {
         let writes = vec![(ArtifactSlot::Cost, 7u128); 8]; // pad the payload
         let capped = DiskStore::open_with_cap(&dir, 1).unwrap();
         capped
-            .store(1, &ArtifactDelta::default(), &writes, Duration::ZERO)
+            .store(1, &Artifacts::default(), &writes, Duration::ZERO)
             .unwrap();
         let entry_bytes = fs::metadata(capped.entry_path(1)).unwrap().len();
 
@@ -842,7 +836,7 @@ mod tests {
         let other = DiskStore::open_with_cap(&dir, 0).unwrap();
         for key in 100u128..140 {
             other
-                .store(key, &ArtifactDelta::default(), &writes, Duration::ZERO)
+                .store(key, &Artifacts::default(), &writes, Duration::ZERO)
                 .unwrap();
         }
         assert!(other.total_bytes() > entry_bytes * 10);
@@ -853,7 +847,7 @@ mod tests {
         // trim the shared directory back under its budget.
         for key in 1u128..=HINT_SYNC_INTERVAL as u128 {
             capped
-                .store(key, &ArtifactDelta::default(), &writes, Duration::ZERO)
+                .store(key, &Artifacts::default(), &writes, Duration::ZERO)
                 .unwrap();
         }
         assert!(
@@ -879,12 +873,12 @@ mod tests {
         let dir = temp_dir("tiny-cap");
         let store = DiskStore::open_with_cap(&dir, 1).unwrap();
         store
-            .store(1, &ArtifactDelta::default(), &[], Duration::ZERO)
+            .store(1, &Artifacts::default(), &[], Duration::ZERO)
             .unwrap();
         assert!(matches!(store.load(1), Load::Hit { .. }));
         std::thread::sleep(Duration::from_millis(15));
         store
-            .store(2, &ArtifactDelta::default(), &[], Duration::ZERO)
+            .store(2, &Artifacts::default(), &[], Duration::ZERO)
             .unwrap();
         assert!(matches!(store.load(1), Load::Miss));
         assert!(matches!(store.load(2), Load::Hit { .. }));
@@ -921,7 +915,7 @@ mod tests {
         }
         assert!(matches!(store.load(12), Load::Miss));
         store
-            .store(13, &ArtifactDelta::default(), &[], Duration::ZERO)
+            .store(13, &Artifacts::default(), &[], Duration::ZERO)
             .unwrap();
         assert!(matches!(store.load(13), Load::Hit { .. }));
         // A read never evicts a valid entry of either kind (a kind
@@ -963,7 +957,7 @@ mod tests {
         let dir = temp_dir("kind-counts");
         let store = DiskStore::open(&dir).unwrap();
         store
-            .store(1, &ArtifactDelta::default(), &[], Duration::ZERO)
+            .store(1, &Artifacts::default(), &[], Duration::ZERO)
             .unwrap();
         store
             .write_entry(2, &node_entry_bytes(FORMAT_VERSION))
@@ -993,10 +987,10 @@ mod tests {
         let dir = temp_dir("clear");
         let store = DiskStore::open(&dir).unwrap();
         store
-            .store(1, &ArtifactDelta::default(), &[], Duration::ZERO)
+            .store(1, &Artifacts::default(), &[], Duration::ZERO)
             .unwrap();
         store
-            .store(2, &ArtifactDelta::default(), &[], Duration::ZERO)
+            .store(2, &Artifacts::default(), &[], Duration::ZERO)
             .unwrap();
         fs::write(dir.join("README.txt"), "not an entry").unwrap();
         fs::write(dir.join(".deadbeef.1234.0.tmp"), "crashed writer leftover").unwrap();

@@ -32,8 +32,7 @@ use cool_rtl::place::Placement;
 use cool_rtl::SystemController;
 
 use crate::cache::{
-    self, ArtifactDelta, ArtifactFlags, ArtifactSlot, NodeArtifact, SlotDigests, StageCache,
-    StageKey,
+    ArtifactFlags, ArtifactSlot, Artifacts, NodeArtifact, StageCache, StageKey, SLOT_COUNT,
 };
 use crate::stage::{FlowContext, Stage};
 use crate::timing::{CacheOutcome, FlowTrace, NodeDelta};
@@ -271,9 +270,9 @@ impl Engine {
     /// # Errors
     ///
     /// Same as [`Engine::run`]; additionally
-    /// [`FlowError::MissingArtifact`] when every stage ran and the
-    /// requested slot is still empty (a custom engine without the
-    /// producing stage).
+    /// [`FlowError::MissingArtifact`], with the slot's label, when every
+    /// stage ran and the requested slot is still empty (a custom engine
+    /// without the producing stage).
     pub fn run_until(
         &self,
         cx: &mut FlowContext<'_>,
@@ -281,8 +280,8 @@ impl Engine {
     ) -> Result<FlowTrace, FlowError> {
         let trace = self.run_stages(cx, stop_after)?;
         if let Some(slot) = stop_after {
-            if !slot.is_filled(cx) {
-                return Err(FlowError::MissingArtifact(slot.name()));
+            if !cx.artifacts.is_filled(slot) {
+                return Err(FlowError::MissingArtifact(slot.label()));
             }
         }
         Ok(trace)
@@ -293,7 +292,8 @@ impl Engine {
         cx: &mut FlowContext<'_>,
         stop_after: Option<ArtifactSlot>,
     ) -> Result<FlowTrace, FlowError> {
-        let reached = |cx: &FlowContext<'_>| stop_after.is_some_and(|slot| slot.is_filled(cx));
+        let reached =
+            |cx: &FlowContext<'_>| stop_after.is_some_and(|slot| cx.artifacts.is_filled(slot));
         let mut trace = FlowTrace::new();
         // Only a run with a cache keys its stages: without one, the loop
         // computes no stage key and no slot digest.
@@ -310,9 +310,8 @@ impl Engine {
                 cache,
                 graph_digest: h.finish(),
                 // Digests of every filled slot, covering pre-seeded
-                // artifacts (e.g. `FlowContext::with_cost` cost models)
-                // from the start.
-                digests: cache::slot_digests(cx),
+                // artifacts (e.g. a seeded cost model) from the start.
+                digests: slot_digests(&cx.artifacts),
             }
         });
 
@@ -327,7 +326,7 @@ impl Engine {
             let t0 = Instant::now();
             if let (Some(k), Some(key)) = (&mut keyed, key) {
                 if let Some(hit) = k.cache.lookup(key) {
-                    hit.delta.apply(cx);
+                    cx.artifacts.apply(&hit.delta);
                     for &(slot, d) in hit.writes.iter() {
                         k.digests[slot.index()] = Some(d);
                     }
@@ -342,7 +341,7 @@ impl Engine {
                     continue;
                 }
             }
-            let before = ArtifactFlags::of(cx);
+            let before = ArtifactFlags::of(&cx.artifacts);
             let t0 = Instant::now();
             stage.run(cx)?;
             let elapsed = t0.elapsed();
@@ -357,23 +356,36 @@ impl Engine {
                 // this stage mutated filled slots in place (which
                 // uncacheable stages are allowed to do).
                 (Some(k), None) => {
-                    k.digests = cache::slot_digests(cx);
+                    k.digests = slot_digests(&cx.artifacts);
                     CacheOutcome::Uncached
                 }
                 (Some(k), Some(key)) => {
-                    let writes = cache::update_slot_digests(cx, before, &mut k.digests);
+                    // Digest the slots the stage filled: the entry stores them
+                    // beside the delta, and later keys read them.
+                    let writes: Vec<(ArtifactSlot, u128)> = ArtifactSlot::ALL
+                        .into_iter()
+                        .filter(|&slot| !before.slot_filled(slot))
+                        .filter_map(|slot| Some((slot, cx.artifacts.digest(slot)?)))
+                        .collect();
+                    for &(slot, d) in &writes {
+                        k.digests[slot.index()] = Some(d);
+                    }
                     // A cacheable stage must only fill empty slots — an in-place
-                    // mutation would be invisible to the delta and leave stale
-                    // digests. Re-hashing every filled slot per stage is too
-                    // costly for release builds, so this check runs in debug
-                    // builds (i.e. under `cargo test`).
+                    // mutation (or an emptied slot) would be invisible to the
+                    // delta and leave stale digests. Re-hashing every filled
+                    // slot per stage is too costly for release builds, so this
+                    // check runs in debug builds (i.e. under `cargo test`).
                     #[cfg(debug_assertions)]
-                    if let Some(slot) = cache::find_mutated_slot(cx, before, &k.digests) {
+                    if let Some(slot) = ArtifactSlot::ALL.into_iter().find(|&slot| {
+                        before.slot_filled(slot)
+                            && cx.artifacts.digest(slot) != k.digests[slot.index()]
+                    }) {
                         return Err(FlowError::Consistency(format!(
-                            "stage `{}` mutated the already-filled artifact slot `{slot}` \
+                            "stage `{}` mutated the already-filled artifact slot `{}` \
                              but returned Some from cache_key; stages that mutate \
                              artifacts in place must return None (see Stage::cache_key)",
                             stage.name(),
+                            slot.name(),
                         )));
                     }
                     // A write outside the declared set means the declarations are
@@ -402,7 +414,7 @@ impl Engine {
                     let truncated_partition = writes
                         .iter()
                         .any(|&(slot, _)| slot == ArtifactSlot::Partition)
-                        && cx.partition.as_ref().is_some_and(|p| {
+                        && cx.artifacts.partition.as_ref().is_some_and(|p| {
                             p.optimality == cool_partition::Optimality::LimitReached
                         });
                     // A pre-seeded pass-through deposited nothing: there is no
@@ -413,7 +425,7 @@ impl Engine {
                         CacheOutcome::Seeded
                     } else {
                         if !truncated_partition {
-                            let delta = ArtifactDelta::capture(cx, before);
+                            let delta = cx.artifacts.capture(before);
                             k.cache.insert(key, delta, writes, elapsed);
                         }
                         CacheOutcome::Miss
@@ -437,6 +449,15 @@ struct Keyed<'c> {
     digests: SlotDigests,
 }
 
+/// Per-slot content digests of the filled artifact slots — the inputs of
+/// the DAG stage keys. `None` means the slot is empty.
+type SlotDigests = [Option<u128>; SLOT_COUNT];
+
+/// Digest every filled slot of `artifacts`.
+fn slot_digests(artifacts: &Artifacts) -> SlotDigests {
+    ArtifactSlot::ALL.map(|slot| artifacts.digest(slot))
+}
+
 /// `true` when the stage ran as a pre-seeded pass-through: every slot it
 /// declares writing was already filled before it ran (e.g. the `cost`
 /// stage over a model seeded via `FlowSession::with_cost` or a
@@ -451,7 +472,7 @@ fn pre_seeded(stage: &dyn Stage, before: ArtifactFlags) -> bool {
 /// finished context — not inside the stages — so a partition restored
 /// from the cache warns exactly like a freshly computed one.
 fn collect_warnings(trace: &mut FlowTrace, cx: &FlowContext<'_>) {
-    if let Some(p) = &cx.partition {
+    if let Some(p) = &cx.artifacts.partition {
         if p.optimality == cool_partition::Optimality::LimitReached {
             let gap = match p.gap {
                 Some(gap) => format!(
@@ -537,7 +558,7 @@ impl Stage for SpecStage {
 }
 
 /// `cost` — software timings plus quick per-node HLS estimates. A no-op
-/// when the context was pre-seeded via [`FlowContext::with_cost`].
+/// when the context's cost slot was pre-seeded.
 pub struct CostStage;
 
 impl Stage for CostStage {
@@ -546,18 +567,18 @@ impl Stage for CostStage {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        if cx.cost.is_none() {
-            cx.cost = Some(cool_cost::CostModel::new(cx.graph, cx.target));
+        if cx.artifacts.cost.is_none() {
+            cx.artifacts.cost = Some(cool_cost::CostModel::new(cx.graph, cx.target));
         }
         Ok(())
     }
 
     /// The target (clocks, memory, bus — and budgets, which the embedded
-    /// target copy exposes to consumers). A context pre-seeded via
-    /// [`FlowContext::with_cost`] is distinguished through the declared
-    /// `cost` read slot: the engine folds the seeded model's content
-    /// digest into the key, so a pre-seeded run can never collide with a
-    /// computed one unless the resulting context is identical.
+    /// target copy exposes to consumers). A context with a pre-seeded
+    /// cost model is distinguished through the declared `cost` read
+    /// slot: the engine folds the seeded model's content digest into the
+    /// key, so a pre-seeded run can never collide with a computed one
+    /// unless the resulting context is identical.
     fn cache_key(&self, cx: &FlowContext<'_>) -> Option<u128> {
         let mut h = ContentHasher::new();
         cx.target.content_hash(&mut h);
@@ -606,7 +627,7 @@ impl Stage for PartitionStage {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let cost = cx.cost()?;
+        let cost = cx.artifacts.cost()?;
         // The flow's `jobs` knob governs every parallel stage; thread it
         // into the MILP branch & bound and the GA's fitness evaluation
         // too. A completed solve is deterministic for every worker count
@@ -647,7 +668,7 @@ impl Stage for PartitionStage {
                 }
             }
         };
-        cx.partition = Some(partition);
+        cx.artifacts.partition = Some(partition);
         Ok(())
     }
 
@@ -681,13 +702,13 @@ impl Stage for ScheduleStage {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let cost = cx.cost()?;
-        let mapping = &cx.partition()?.mapping;
+        let cost = cx.artifacts.cost()?;
+        let mapping = &cx.artifacts.partition()?.mapping;
         let schedule = cool_schedule::schedule(cx.graph, mapping, cost, cx.options.scheme)?;
         schedule
             .verify(cx.graph, mapping)
             .map_err(FlowError::Consistency)?;
-        cx.schedule = Some(schedule);
+        cx.artifacts.schedule = Some(schedule);
         Ok(())
     }
 
@@ -720,8 +741,8 @@ impl Stage for StgStage {
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
         let mut tier = NodeTier::of(cx);
         let graph = cx.graph;
-        let mapping = &cx.partition()?.mapping;
-        let schedule = cx.schedule()?;
+        let mapping = &cx.artifacts.partition()?.mapping;
+        let schedule = cx.artifacts.schedule()?;
         let stg = cool_stg::generate_with(graph, mapping, schedule, &mut |n, res| {
             tier.get_or_compute(
                 graph.node(n).map_or("", |node| node.name()),
@@ -755,10 +776,10 @@ impl Stage for StgStage {
                 cx.target.bus.width_bits,
             )?
         };
-        cx.stg = Some(stg);
-        cx.stg_minimized = Some(stg_minimized);
-        cx.minimize_stats = Some(minimize_stats);
-        cx.memory_map = Some(memory_map);
+        cx.artifacts.stg = Some(stg);
+        cx.artifacts.stg_minimized = Some(stg_minimized);
+        cx.artifacts.minimize_stats = Some(minimize_stats);
+        cx.artifacts.memory_map = Some(memory_map);
         tier.report(cx, self.name());
         Ok(())
     }
@@ -810,7 +831,7 @@ impl Stage for HlsStage {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let mapping = &cx.partition()?.mapping;
+        let mapping = &cx.artifacts.partition()?.mapping;
         let hw_nodes: Vec<cool_ir::NodeId> = cx
             .graph
             .function_nodes()
@@ -848,8 +869,8 @@ impl Stage for HlsStage {
             .map(|d| d.expect("every node is a hit or a miss"))
             .collect();
         tier.report(cx, self.name());
-        cx.hw_nodes = Some(hw_nodes);
-        cx.hls_designs = Some(hls_designs);
+        cx.artifacts.hw_nodes = Some(hw_nodes);
+        cx.artifacts.hls_designs = Some(hls_designs);
         Ok(())
     }
 
@@ -884,15 +905,16 @@ impl Stage for RtlStage {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let mapping = &cx.partition()?.mapping;
-        let schedule = cx.schedule()?;
-        let memory_map = cx.memory_map()?;
-        let hw_nodes = cx.hw_nodes()?;
-        let hls_designs = cx.hls_designs()?;
+        let artifacts = &cx.artifacts;
+        let mapping = &artifacts.partition()?.mapping;
+        let schedule = artifacts.schedule()?;
+        let memory_map = artifacts.memory_map()?;
+        let hw_nodes = artifacts.hw_nodes()?;
+        let hls_designs = artifacts.hls_designs()?;
         let graph = cx.graph;
         let target = cx.target;
 
-        let controller = SystemController::from_stg(cx.stg_minimized()?.clone(), graph);
+        let controller = SystemController::from_stg(artifacts.stg_minimized()?.clone(), graph);
         let encoding = cool_rtl::encoding::optimize_encoding_jobs(
             controller.stg(),
             cx.options.encoding_effort,
@@ -1045,11 +1067,11 @@ impl Stage for RtlStage {
             })
             .collect();
 
-        cx.controller = Some(controller);
-        cx.encoding = Some(encoding);
-        cx.netlist = Some(netlist);
-        cx.vhdl = Some(vhdl);
-        cx.placements = Some(placements);
+        cx.artifacts.controller = Some(controller);
+        cx.artifacts.encoding = Some(encoding);
+        cx.artifacts.netlist = Some(netlist);
+        cx.artifacts.vhdl = Some(vhdl);
+        cx.artifacts.placements = Some(placements);
         tier.report(cx, self.name());
         Ok(())
     }
@@ -1097,14 +1119,18 @@ impl Stage for CodegenStage {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let mapping = &cx.partition()?.mapping;
-        let c_programs =
-            cool_codegen::emit_programs(cx.graph, mapping, cx.schedule()?, cx.memory_map()?);
+        let artifacts = &cx.artifacts;
+        let c_programs = cool_codegen::emit_programs(
+            cx.graph,
+            &artifacts.partition()?.mapping,
+            artifacts.schedule()?,
+            artifacts.memory_map()?,
+        );
         for p in &c_programs {
             cool_codegen::check_c_structure(&p.source)
                 .map_err(|e| FlowError::Consistency(format!("{}: {e}", p.file_name)))?;
         }
-        cx.c_programs = Some(c_programs);
+        cx.artifacts.c_programs = Some(c_programs);
         Ok(())
     }
 
@@ -1137,42 +1163,24 @@ impl Stage for SimPrepStage {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let sim = cool_sim::Simulator::new(
+        let artifacts = &cx.artifacts;
+        // Every slot — the full set `FlowArtifacts::new` will demand, so
+        // a custom engine that skipped a producer fails here, inside a
+        // named stage, rather than after the run.
+        if let Some(slot) = ArtifactSlot::ALL
+            .into_iter()
+            .find(|&slot| !artifacts.is_filled(slot))
+        {
+            return Err(FlowError::MissingArtifact(slot.label()));
+        }
+        let _ = cool_sim::Simulator::new(
             cx.graph,
-            cx.mapping()?,
-            cx.schedule()?,
-            cx.memory_map()?,
-            cx.cost()?,
+            &artifacts.partition()?.mapping,
+            artifacts.schedule()?,
+            artifacts.memory_map()?,
+            artifacts.cost()?,
             cx.options.scheme,
         );
-        let _ = sim;
-        // Every remaining artifact slot the simulator does not touch —
-        // the full set `FlowArtifacts::from_context` will demand, so a
-        // custom engine that skipped a producer fails here, inside a
-        // named stage, rather than after the run.
-        cx.stg_minimized()?;
-        cx.controller()?;
-        cx.netlist()?;
-        cx.hw_nodes()?;
-        cx.hls_designs()?;
-        if cx.stg.is_none() {
-            return Err(FlowError::MissingArtifact("STG"));
-        }
-        if cx.minimize_stats.is_none() {
-            return Err(FlowError::MissingArtifact("minimization stats"));
-        }
-        if cx.encoding.is_none() {
-            return Err(FlowError::MissingArtifact("state encoding"));
-        }
-        if cx.placements.is_none() {
-            return Err(FlowError::MissingArtifact("placements"));
-        }
-        if cx.vhdl.is_none() {
-            return Err(FlowError::MissingArtifact("VHDL units"));
-        }
-        if cx.c_programs.is_none() {
-            return Err(FlowError::MissingArtifact("C programs"));
-        }
         Ok(())
     }
 
@@ -1244,6 +1252,9 @@ mod tests {
         ]);
         let mut cx = FlowContext::new(&g, &target, &options);
         let err = engine.run(&mut cx).unwrap_err();
-        assert!(matches!(err, FlowError::MissingArtifact(_)), "{err}");
+        assert!(
+            matches!(err, FlowError::MissingArtifact("partition result")),
+            "{err}"
+        );
     }
 }

@@ -18,9 +18,11 @@ pub enum FlowError {
     Sim(cool_sim::SimError),
     /// An internal consistency check failed (synthesis bug).
     Consistency(String),
-    /// A stage ran before one of its producers: the named artifact is not
-    /// in the [`crate::stage::FlowContext`] yet. Indicates a mis-ordered
-    /// custom [`crate::engine::Engine`].
+    /// A stage ran before one of its producers: the artifact slot with
+    /// this label ([`crate::ArtifactSlot::label`]) is still empty in the
+    /// [`crate::Artifacts`] it was read from. Indicates a mis-ordered
+    /// custom [`crate::engine::Engine`], or a partial flow read past its
+    /// stop point.
     MissingArtifact(&'static str),
     /// A [`crate::FlowSession`] was configured with an invalid
     /// combination of inputs (no target, a pre-seeded cost model whose

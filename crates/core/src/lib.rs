@@ -26,8 +26,10 @@
 //!   board stand-in ([`cool_sim`]).
 //!
 //! Each stage is an individually timed, individually testable
-//! [`stage::Stage`] over a typed [`stage::FlowContext`]; the
-//! [`FlowSession`] builder is the public entry point over the engine.
+//! [`stage::Stage`] over a typed [`stage::FlowContext`], whose
+//! [`Artifacts`] hold one `Option` per [`ArtifactSlot`] (both generated
+//! from the one slot table in [`cache`]); the [`FlowSession`] builder is
+//! the public entry point over the engine.
 //! [`FlowArtifacts::trace`] holds the per-stage timing journal and
 //! [`FlowArtifacts::timings`] the paper's six-bucket summary,
 //! reproducing the paper's observation that hardware synthesis consumes
@@ -110,7 +112,7 @@ pub mod table;
 pub mod timing;
 
 pub use artifacts::FlowArtifacts;
-pub use cache::{ArtifactSlot, CacheStats, NodeArtifact, NodeHit, StageCache};
+pub use cache::{ArtifactSlot, Artifacts, CacheStats, NodeArtifact, NodeHit, StageCache};
 pub use disk::{DiskStore, KindCounts};
 pub use engine::Engine;
 pub use error::FlowError;

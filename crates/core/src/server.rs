@@ -58,7 +58,7 @@ use cool_partition::Optimality;
 
 use crate::cache::StageCache;
 use crate::session::FlowSession;
-use crate::timing::{CacheOutcome, FlowTrace};
+use crate::timing::FlowTrace;
 use crate::FlowOptions;
 
 /// Default listen address for `cool serve` (2665 spells COOL on a phone
@@ -211,11 +211,7 @@ impl FlowResponse {
     /// fully warm repeat request reports zero.
     #[must_use]
     pub fn stages_computed(&self) -> usize {
-        self.trace
-            .records()
-            .iter()
-            .filter(|r| matches!(r.cache, CacheOutcome::Miss | CacheOutcome::Uncached))
-            .count()
+        self.trace.stages_computed()
     }
 }
 

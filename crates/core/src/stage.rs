@@ -3,23 +3,14 @@
 //! A [`Stage`] is one named, individually timed, individually testable
 //! unit of the COOL design flow (spec → cost → partition → schedule →
 //! stg → hls → rtl → codegen → sim-prep). Stages communicate only
-//! through the typed [`FlowContext`]: each stage reads the artifacts its
-//! producers left there and deposits its own. The
+//! through the typed [`FlowContext`]: each stage reads the [`Artifacts`]
+//! its producers left there and deposits its own. The
 //! [`Engine`](crate::engine::Engine) owns ordering and timing.
 
-use cool_codegen::CProgram;
-use cool_cost::CostModel;
-use cool_hls::HlsDesign;
 use cool_ir::hash::{ContentHash, ContentHasher};
-use cool_ir::{Mapping, NodeId, PartitioningGraph, Resource, Target};
-use cool_partition::PartitionResult;
-use cool_rtl::encoding::StateEncoding;
-use cool_rtl::place::Placement;
-use cool_rtl::{Netlist, SystemController};
-use cool_schedule::StaticSchedule;
-use cool_stg::{MemoryMap, MinimizeStats, Stg};
+use cool_ir::{PartitioningGraph, Target};
 
-use crate::cache::ArtifactSlot;
+use crate::cache::{ArtifactSlot, Artifacts};
 use crate::{FlowError, FlowOptions};
 
 /// One named unit of the design flow.
@@ -101,12 +92,12 @@ pub trait Stage {
 
 /// The typed blackboard the stages communicate through.
 ///
-/// Inputs (`graph`, `target`, `options`) are borrowed for the whole run;
-/// every artifact slot starts empty and is filled by exactly one standard
-/// stage. The `artifact()`/accessor methods return
-/// [`FlowError::MissingArtifact`] when a consumer outruns its producer,
-/// which turns mis-ordered custom engines into a diagnosable error
-/// instead of a panic.
+/// Inputs (`graph`, `target`, `options`) are borrowed for the whole run.
+/// The [`Artifacts`] start empty (or with a pre-seeded cost model) and
+/// every slot is filled by exactly one standard stage; their accessors
+/// return [`FlowError::MissingArtifact`] when a consumer outruns its
+/// producer, which turns mis-ordered custom engines into a diagnosable
+/// error instead of a panic.
 #[derive(Debug)]
 pub struct FlowContext<'a> {
     /// The input specification.
@@ -115,39 +106,8 @@ pub struct FlowContext<'a> {
     pub target: &'a Target,
     /// All flow knobs.
     pub options: &'a FlowOptions,
-
-    /// Cost model (produced by `cost`, or pre-seeded for sweeps).
-    pub cost: Option<CostModel>,
-    /// Partitioning outcome (produced by `partition`).
-    pub partition: Option<PartitionResult>,
-    /// Static schedule (produced by `schedule`).
-    pub schedule: Option<StaticSchedule>,
-    /// Raw STG (produced by `stg`).
-    pub stg: Option<Stg>,
-    /// Minimized STG (produced by `stg`).
-    pub stg_minimized: Option<Stg>,
-    /// Minimization statistics (produced by `stg`).
-    pub minimize_stats: Option<MinimizeStats>,
-    /// Communication memory map (produced by `stg`).
-    pub memory_map: Option<MemoryMap>,
-    /// Hardware-mapped function nodes in graph order (produced by `hls`).
-    pub hw_nodes: Option<Vec<NodeId>>,
-    /// Full-effort HLS designs, parallel to `hw_nodes` (produced by
-    /// `hls`).
-    pub hls_designs: Option<Vec<HlsDesign>>,
-    /// Synthesized system controller (produced by `rtl`).
-    pub controller: Option<SystemController>,
-    /// Optimized controller state encoding (produced by `rtl`).
-    pub encoding: Option<StateEncoding>,
-    /// Generated netlist (produced by `rtl`).
-    pub netlist: Option<Netlist>,
-    /// Emitted VHDL units `(file name, source)` (produced by `rtl`).
-    pub vhdl: Option<Vec<(String, String)>>,
-    /// CLB placements per FPGA hosting logic (produced by `rtl`).
-    pub placements: Option<Vec<(Resource, Placement)>>,
-    /// Generated C programs (produced by `codegen`).
-    pub c_programs: Option<Vec<CProgram>>,
-
+    /// The artifact slots the stages read and fill.
+    pub artifacts: Artifacts,
     /// The node-level cache tier, injected by the engine when a
     /// [`StageCache`](crate::cache::StageCache) is attached. Stages that
     /// work per node (`hls`, `stg`, `rtl`) consult it to reuse clean
@@ -160,7 +120,7 @@ pub struct FlowContext<'a> {
 }
 
 impl<'a> FlowContext<'a> {
-    /// An empty context over the given inputs.
+    /// A context over the given inputs with every artifact slot empty.
     #[must_use]
     pub fn new(
         graph: &'a PartitioningGraph,
@@ -171,93 +131,9 @@ impl<'a> FlowContext<'a> {
             graph,
             target,
             options,
-            cost: None,
-            partition: None,
-            schedule: None,
-            stg: None,
-            stg_minimized: None,
-            minimize_stats: None,
-            memory_map: None,
-            hw_nodes: None,
-            hls_designs: None,
-            controller: None,
-            encoding: None,
-            netlist: None,
-            vhdl: None,
-            placements: None,
-            c_programs: None,
+            artifacts: Artifacts::default(),
             node_cache: None,
             node_deltas: Vec::new(),
         }
-    }
-
-    /// An empty context pre-seeded with a cost model, so the `cost` stage
-    /// becomes a no-op. This is the sharing seam for sweeps that evaluate
-    /// many partitions of one graph: estimation runs once, not once per
-    /// candidate.
-    #[must_use]
-    pub fn with_cost(
-        graph: &'a PartitioningGraph,
-        target: &'a Target,
-        options: &'a FlowOptions,
-        cost: CostModel,
-    ) -> FlowContext<'a> {
-        let mut cx = FlowContext::new(graph, target, options);
-        cx.cost = Some(cost);
-        cx
-    }
-
-    fn artifact<'s, T>(slot: &'s Option<T>, what: &'static str) -> Result<&'s T, FlowError> {
-        slot.as_ref().ok_or(FlowError::MissingArtifact(what))
-    }
-
-    /// The cost model, or [`FlowError::MissingArtifact`].
-    pub fn cost(&self) -> Result<&CostModel, FlowError> {
-        Self::artifact(&self.cost, "cost model")
-    }
-
-    /// The partitioning outcome, or [`FlowError::MissingArtifact`].
-    pub fn partition(&self) -> Result<&PartitionResult, FlowError> {
-        Self::artifact(&self.partition, "partition result")
-    }
-
-    /// The node→resource mapping, or [`FlowError::MissingArtifact`].
-    pub fn mapping(&self) -> Result<&Mapping, FlowError> {
-        Ok(&self.partition()?.mapping)
-    }
-
-    /// The static schedule, or [`FlowError::MissingArtifact`].
-    pub fn schedule(&self) -> Result<&StaticSchedule, FlowError> {
-        Self::artifact(&self.schedule, "static schedule")
-    }
-
-    /// The minimized STG, or [`FlowError::MissingArtifact`].
-    pub fn stg_minimized(&self) -> Result<&Stg, FlowError> {
-        Self::artifact(&self.stg_minimized, "minimized STG")
-    }
-
-    /// The memory map, or [`FlowError::MissingArtifact`].
-    pub fn memory_map(&self) -> Result<&MemoryMap, FlowError> {
-        Self::artifact(&self.memory_map, "memory map")
-    }
-
-    /// Hardware-mapped function nodes, or [`FlowError::MissingArtifact`].
-    pub fn hw_nodes(&self) -> Result<&[NodeId], FlowError> {
-        Self::artifact(&self.hw_nodes, "hardware node list").map(Vec::as_slice)
-    }
-
-    /// The HLS designs, or [`FlowError::MissingArtifact`].
-    pub fn hls_designs(&self) -> Result<&[HlsDesign], FlowError> {
-        Self::artifact(&self.hls_designs, "HLS designs").map(Vec::as_slice)
-    }
-
-    /// The system controller, or [`FlowError::MissingArtifact`].
-    pub fn controller(&self) -> Result<&SystemController, FlowError> {
-        Self::artifact(&self.controller, "system controller")
-    }
-
-    /// The netlist, or [`FlowError::MissingArtifact`].
-    pub fn netlist(&self) -> Result<&Netlist, FlowError> {
-        Self::artifact(&self.netlist, "netlist")
     }
 }

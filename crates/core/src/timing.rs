@@ -47,6 +47,16 @@ pub enum CacheOutcome {
     },
 }
 
+impl CacheOutcome {
+    /// `true` when the stage actually executed — uncached, or a miss whose
+    /// result was stored — rather than being restored from a cache tier or
+    /// passing seeded inputs through.
+    #[must_use]
+    pub fn computed(self) -> bool {
+        matches!(self, CacheOutcome::Uncached | CacheOutcome::Miss)
+    }
+}
+
 /// Node-level cache activity of one stage execution: how many per-node
 /// artifacts the stage reused from the node cache tier versus computed
 /// fresh. Only stages that consult the node tier (`hls`, `stg`, `rtl`)
@@ -163,6 +173,13 @@ impl FlowTrace {
     #[must_use]
     pub fn remote_hits(&self) -> usize {
         self.count(|c| matches!(c, CacheOutcome::RemoteHit { .. }))
+    }
+
+    /// Stages that actually executed in this run
+    /// ([`CacheOutcome::computed`]); a fully warm run reports 0.
+    #[must_use]
+    pub fn stages_computed(&self) -> usize {
+        self.count(CacheOutcome::computed)
     }
 
     /// Stages that executed and populated the cache in this run.

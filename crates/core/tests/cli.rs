@@ -451,6 +451,40 @@ fn watch_reruns_on_edit_and_stops_at_max_runs() {
 }
 
 #[test]
+fn a_second_watch_process_counts_each_disk_hit_once() {
+    // Two watch processes over one cache directory: the second restores
+    // every stage of the flow from disk, and its summary counts each of
+    // those hits once, not once as a hit and again as a disk hit.
+    let dir = temp_dir("watch-disk");
+    let cache_dir = dir.join("cache");
+    let graph = cool_spec::workloads::incremental(4, 19);
+    let spec = write_spec(&dir, "incr.cool", &cool_spec::print_spec(&graph));
+    let watch_one_run = || {
+        let out = cool()
+            .arg("watch")
+            .arg(&spec)
+            .args(DETERMINISTIC)
+            .arg("--cache-dir")
+            .arg(&cache_dir)
+            .args(["--max-runs", "1"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "watch failed\nstdout: {stdout}\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    let cold = watch_one_run();
+    assert!(cold.contains(" 0 stage hit(s) (0 disk)"), "{cold}");
+    let warm = watch_one_run();
+    assert!(warm.contains(" 9 stage hit(s) (9 disk"), "{warm}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn watch_survives_a_broken_edit() {
     let dir = temp_dir("watch-bad");
     let good = "design adder; input a : 16; input b : 16; node s = add; output y : 16;\n\

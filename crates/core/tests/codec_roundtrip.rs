@@ -11,7 +11,7 @@
 //! context accumulates, plus decoder totality under seeded mutations of
 //! the encoded bytes.
 
-use cool_core::cache::{ArtifactDelta, ArtifactFlags};
+use cool_core::cache::{ArtifactFlags, Artifacts};
 use cool_core::{Engine, FlowContext, FlowOptions, Partitioner};
 use cool_ir::codec::{from_bytes, to_bytes, Codec};
 use cool_ir::hash::{digest, ContentHash};
@@ -39,21 +39,30 @@ fn check<T: Codec + ContentHash>(what: &str, value: &T) {
 }
 
 fn run_context_checks(cx: &FlowContext<'_>) {
-    check("cost model", cx.cost.as_ref().unwrap());
-    check("partition result", cx.partition.as_ref().unwrap());
-    check("static schedule", cx.schedule.as_ref().unwrap());
-    check("raw STG", cx.stg.as_ref().unwrap());
-    check("minimized STG", cx.stg_minimized.as_ref().unwrap());
-    check("minimize stats", cx.minimize_stats.as_ref().unwrap());
-    check("memory map", cx.memory_map.as_ref().unwrap());
-    check("hw nodes", cx.hw_nodes.as_ref().unwrap());
-    check("hls designs", cx.hls_designs.as_ref().unwrap());
-    check("system controller", cx.controller.as_ref().unwrap());
-    check("state encoding", cx.encoding.as_ref().unwrap());
-    check("netlist", cx.netlist.as_ref().unwrap());
-    check("vhdl units", cx.vhdl.as_ref().unwrap());
-    check("placements", cx.placements.as_ref().unwrap());
-    check("c programs", cx.c_programs.as_ref().unwrap());
+    check("cost model", cx.artifacts.cost.as_ref().unwrap());
+    check("partition result", cx.artifacts.partition.as_ref().unwrap());
+    check("static schedule", cx.artifacts.schedule.as_ref().unwrap());
+    check("raw STG", cx.artifacts.stg.as_ref().unwrap());
+    check(
+        "minimized STG",
+        cx.artifacts.stg_minimized.as_ref().unwrap(),
+    );
+    check(
+        "minimize stats",
+        cx.artifacts.minimize_stats.as_ref().unwrap(),
+    );
+    check("memory map", cx.artifacts.memory_map.as_ref().unwrap());
+    check("hw nodes", cx.artifacts.hw_nodes.as_ref().unwrap());
+    check("hls designs", cx.artifacts.hls_designs.as_ref().unwrap());
+    check(
+        "system controller",
+        cx.artifacts.controller.as_ref().unwrap(),
+    );
+    check("state encoding", cx.artifacts.encoding.as_ref().unwrap());
+    check("netlist", cx.artifacts.netlist.as_ref().unwrap());
+    check("vhdl units", cx.artifacts.vhdl.as_ref().unwrap());
+    check("placements", cx.artifacts.placements.as_ref().unwrap());
+    check("c programs", cx.artifacts.c_programs.as_ref().unwrap());
 }
 
 #[test]
@@ -86,9 +95,9 @@ fn every_artifact_type_roundtrips_on_seeded_random_flows() {
         run_context_checks(&cx);
 
         // The composite the disk tier actually serializes.
-        let delta = ArtifactDelta::capture(&cx, ArtifactFlags::default());
+        let delta = Artifacts::capture(&cx.artifacts, ArtifactFlags::default());
         let bytes = to_bytes(&delta);
-        let back: ArtifactDelta = from_bytes(&bytes).unwrap();
+        let back: Artifacts = from_bytes(&bytes).unwrap();
         assert_eq!(to_bytes(&back), bytes, "full delta fixpoint");
         assert_eq!(back.slot_count(), delta.slot_count());
     }
@@ -105,7 +114,7 @@ fn decoder_is_total_under_seeded_mutations() {
     let options = FlowOptions::quick();
     let mut cx = FlowContext::new(&graph, &target, &options);
     Engine::standard().run(&mut cx).unwrap();
-    let pristine = to_bytes(&ArtifactDelta::capture(&cx, ArtifactFlags::default()));
+    let pristine = to_bytes(&Artifacts::capture(&cx.artifacts, ArtifactFlags::default()));
 
     let mut rng = StdRng::seed_from_u64(0xBAD_B17E5);
     for _ in 0..200 {
@@ -129,11 +138,11 @@ fn decoder_is_total_under_seeded_mutations() {
         }
         // Any outcome but a panic is acceptable; a successful decode must
         // still re-encode without panicking.
-        if let Ok(delta) = from_bytes::<ArtifactDelta>(&bytes) {
+        if let Ok(delta) = from_bytes::<Artifacts>(&bytes) {
             let _ = to_bytes(&delta);
         }
     }
     // The unmutated bytes still decode, so the loop above exercised the
     // real encoding, not a stale fixture.
-    assert!(from_bytes::<ArtifactDelta>(&pristine).is_ok());
+    assert!(from_bytes::<Artifacts>(&pristine).is_ok());
 }

@@ -1,7 +1,13 @@
 //! Engine-level integration tests: stage ordering, timing-table
 //! invariants, and the determinism of the parallel stages.
 
-use cool_core::{Engine, FlowArtifacts, FlowContext, FlowOptions, FlowSession, Partitioner};
+use cool_core::engine::{
+    CostStage, HlsStage, PartitionStage, RtlStage, ScheduleStage, SimPrepStage, SpecStage, StgStage,
+};
+use cool_core::{
+    ArtifactSlot, Engine, FlowArtifacts, FlowContext, FlowError, FlowOptions, FlowSession,
+    Partitioner, Stage,
+};
 use cool_cost::CostModel;
 use cool_ir::{Mapping, Resource, Target};
 use cool_spec::workloads;
@@ -96,15 +102,58 @@ fn engine_context_retains_artifacts_on_partial_runs() {
     let engine = Engine::standard();
     let mut cx = FlowContext::new(&g, &target, &options);
     engine.run(&mut cx).unwrap();
-    assert!(cx.cost.is_some());
-    assert!(cx.partition.is_some());
-    assert!(cx.vhdl.is_some());
+    assert!(cx.artifacts.cost.is_some());
+    assert!(cx.artifacts.partition.is_some());
+    assert!(cx.artifacts.vhdl.is_some());
 }
 
 /// RES3 invariant on the serial baseline: with full synthesis effort and
 /// partitioning taken out of the equation (fixed mapping), hardware
 /// synthesis consumes > 90 % of the flow on equalizer(8) — the paper's
 /// headline timing shape.
+/// The standard stages up to `rtl`: no `codegen`, no `sim-prep`.
+fn stages_through_rtl() -> Vec<Box<dyn Stage>> {
+    vec![
+        Box::new(SpecStage),
+        Box::new(CostStage),
+        Box::new(PartitionStage),
+        Box::new(ScheduleStage),
+        Box::new(StgStage),
+        Box::new(HlsStage),
+        Box::new(RtlStage),
+    ]
+}
+
+#[test]
+fn a_missing_slot_reads_with_one_label_everywhere() {
+    let g = workloads::equalizer(2);
+    let target = Target::fuzzy_board();
+    let options = FlowOptions::quick();
+    let missing = |err: FlowError| match err {
+        FlowError::MissingArtifact(label) => label,
+        other => panic!("expected MissingArtifact, got {other}"),
+    };
+
+    // Stopping after a slot no stage produces names the slot's label,
+    // the one the accessors use...
+    let mut cx = FlowContext::new(&g, &target, &options);
+    let err = Engine::new(stages_through_rtl())
+        .run_until(&mut cx, Some(ArtifactSlot::CPrograms))
+        .unwrap_err();
+    assert_eq!(missing(err), "C programs");
+    assert_eq!(
+        missing(cx.artifacts.c_programs().unwrap_err()),
+        ArtifactSlot::CPrograms.label()
+    );
+
+    // ...and so does `sim-prep`, which fails inside the named stage.
+    let mut stages = stages_through_rtl();
+    stages.push(Box::new(SimPrepStage));
+    let mut cx = FlowContext::new(&g, &target, &options);
+    let err = Engine::new(stages).run(&mut cx).unwrap_err();
+    assert_eq!(missing(err), "C programs");
+}
+
 #[test]
 fn hardware_fraction_dominates_equalizer8_serial() {
     let g = workloads::equalizer(8);

@@ -20,7 +20,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-use cool_core::cache::{ArtifactDelta, Entry};
+use cool_core::cache::{Artifacts, Entry};
 use cool_core::disk::{encode_entry, encode_entry_with_version, FORMAT_VERSION};
 use cool_core::server::{Client, FlowRequest, Request, Response, ServeError, Server, ServerHandle};
 use cool_core::{
@@ -358,7 +358,7 @@ fn unknown_request_kinds_get_an_error_frame_and_the_connection_survives() {
 /// distinguishing cost so distinct entries have distinct bytes.
 fn stage_entry_bytes(cost_ms: u64) -> Vec<u8> {
     encode_entry_with_version(
-        &ArtifactDelta::default(),
+        &Artifacts::default(),
         &[],
         Duration::from_millis(cost_ms),
         FORMAT_VERSION,
@@ -495,7 +495,7 @@ fn corrupt_and_version_skewed_puts_are_rejected_and_never_stored() {
 
     // A foreign format version is rejected even with a valid checksum.
     let skewed = encode_entry_with_version(
-        &ArtifactDelta::default(),
+        &Artifacts::default(),
         &[],
         Duration::from_millis(9),
         FORMAT_VERSION + 1,
