@@ -121,7 +121,6 @@ fn main() -> ExitCode {
     print_cache_trajectory("remote_cache", &old, &new);
     print_scalar_trajectory("remote_cache", "speedup", "x", &old, &new);
     print_scalar_trajectory("milp_parallel", "speedup", "x", &old, &new);
-    print_scalar_trajectory("milp_pricing", "bland_over_steepest", "x", &old, &new);
     print_scalar_trajectory("lp_warmstart", "speedup", "x", &old, &new);
     print_scalar_trajectory("lp_warmstart", "cold_child_pivots", " pivots", &old, &new);
     print_scalar_trajectory("lp_warmstart", "warm_child_pivots", " pivots", &old, &new);

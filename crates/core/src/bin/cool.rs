@@ -92,7 +92,7 @@ use cool_core::{
 };
 use cool_cost::CommScheme;
 use cool_ir::{BudgetConstraint, Objective, PartitioningGraph, Resource, Target};
-use cool_partition::{GaOptions, HeuristicOptions, MilpOptions, Optimality, PricingRule};
+use cool_partition::{GaOptions, HeuristicOptions, MilpOptions, Optimality};
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
@@ -109,6 +109,13 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
         return Err(usage().into());
     };
     let rest = &args[1..];
+    if let Some(flag) = rest.iter().find(|a| {
+        a.starts_with("--")
+            && !VALUE_FLAGS.contains(&a.as_str())
+            && !BOOL_FLAGS.contains(&a.as_str())
+    }) {
+        return Err(format!("unknown flag `{flag}`\n{}", usage()).into());
+    }
     match command.as_str() {
         "check" => {
             let spec = read_spec(rest)?;
@@ -289,7 +296,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  cool check    <spec.cool>\n  cool flow     <spec.cool> [--out DIR] [--partitioner milp|heuristic|ga] [--objective makespan|area|comm|blend:T,C,A] [--milp-max-nodes N] [--milp-max-pivots N] [--milp-pricing steepest|bland] [--scheme mmio|direct] [--quick] [--jobs N] [--target BOARD] [--targets BOARD,BOARD,...] [--to-stage cost|partition|schedule|stg|hls|rtl|codegen] [--pin NODE=RES,... ] [--cache|--no-cache] [--cache-dir DIR] [--cache-max-bytes N] [--cache-remote ADDR] [--trace] [--expect-node-disk-hits MIN] [--expect-node-synth-max MAX] [--connect ADDR]\n  cool pareto   <spec.cool> --budgets A..B:STEP|N,N,... [--csv] [same flags as flow, minus --targets]\n  cool watch    <spec.cool> [--poll-ms N] [--max-runs N] [same flags as flow, minus --out]\n  cool simulate <spec.cool> [name=value ...] [same flags as flow]\n  cool serve    [--addr ADDR] [--cache-dir DIR] [--cache-max-bytes N]\n  cool ping     [--connect ADDR]\n  cool cache    stats|clear [--cache-dir DIR] [--cache-max-bytes N] [--connect ADDR]\nboards: fuzzy, minimal; cap FPGA budgets with BOARD@CLBS (e.g. fuzzy@96)\npins: NODE=hw0|hw1|sw0|..., or *=RES for every function node (later entries override)\npareto: epsilon-constraint sweep over FPGA CLB budgets (--budgets 16..128:8), one shared cache, cost estimated once\nserve: `cool serve` starts the resident daemon (default addr 127.0.0.1:2665); `--connect ADDR` makes flow/simulate clients of it\nfleet: `--cache-remote ADDR` adds a daemon as a third cache tier (memory → disk → remote) on flow/simulate/pareto/watch; `cool ping --connect ADDR` measures the round-trip"
+    "usage:\n  cool check    <spec.cool>\n  cool flow     <spec.cool> [--out DIR] [--partitioner milp|heuristic|ga] [--objective makespan|area|comm|blend:T,C,A] [--milp-max-nodes N] [--milp-max-pivots N] [--scheme mmio|direct] [--quick] [--jobs N] [--target BOARD] [--targets BOARD,BOARD,...] [--to-stage cost|partition|schedule|stg|hls|rtl|codegen] [--pin NODE=RES,... ] [--cache|--no-cache] [--cache-dir DIR] [--cache-max-bytes N] [--cache-remote ADDR] [--trace] [--expect-node-disk-hits MIN] [--expect-node-synth-max MAX] [--connect ADDR]\n  cool pareto   <spec.cool> --budgets A..B:STEP|N,N,... [--csv] [same flags as flow, minus --targets]\n  cool watch    <spec.cool> [--poll-ms N] [--max-runs N] [same flags as flow, minus --out]\n  cool simulate <spec.cool> [name=value ...] [same flags as flow]\n  cool serve    [--addr ADDR] [--cache-dir DIR] [--cache-max-bytes N]\n  cool ping     [--connect ADDR]\n  cool cache    stats|clear [--cache-dir DIR] [--cache-max-bytes N] [--connect ADDR]\nboards: fuzzy, minimal; cap FPGA budgets with BOARD@CLBS (e.g. fuzzy@96)\npins: NODE=hw0|hw1|sw0|..., or *=RES for every function node (later entries override)\npareto: epsilon-constraint sweep over FPGA CLB budgets (--budgets 16..128:8), one shared cache, cost estimated once\nserve: `cool serve` starts the resident daemon (default addr 127.0.0.1:2665); `--connect ADDR` makes flow/simulate clients of it\nfleet: `--cache-remote ADDR` adds a daemon as a third cache tier (memory → disk → remote) on flow/simulate/pareto/watch; `cool ping --connect ADDR` measures the round-trip"
 }
 
 /// Default persistent cache directory, relative to the working directory.
@@ -315,14 +322,16 @@ const VALUE_FLAGS: &[&str] = &[
     "--objective",
     "--budgets",
     "--milp-max-nodes",
-    "--milp-comm-weight",
     "--milp-max-pivots",
-    "--milp-pricing",
     "--poll-ms",
     "--max-runs",
     "--connect",
     "--addr",
 ];
+
+/// Every flag that takes no value. With `VALUE_FLAGS` it lists every
+/// flag `cool` knows; any other `--…` argument is rejected.
+const BOOL_FLAGS: &[&str] = &["--quick", "--trace", "--csv", "--cache", "--no-cache"];
 
 /// The cache directory selected by `--cache-dir [DIR]`, if the flag is
 /// present (a missing or flag-like value selects the default directory).
@@ -1131,25 +1140,6 @@ fn parse_options(rest: &[String]) -> Result<FlowOptions, Box<dyn Error>> {
         // for a fixed mapping (where it is simply inert).
         options.objective = Some(obj.parse::<Objective>()?);
     }
-    if let Some(w) = flag_value(rest, "--milp-comm-weight") {
-        let weight: f64 = w
-            .parse()
-            .map_err(|_| format!("--milp-comm-weight expects a number, got `{w}`"))?;
-        // Deprecated alias: the old scalar knob maps onto the blended
-        // objective with the historical time/area weights left at their
-        // defaults. Keep stdout untouched (scripts grep flow output).
-        let objective = Objective::blend(1.0, weight, 0.05);
-        eprintln!("note: --milp-comm-weight is deprecated; use --objective blend:1,{weight},0.05");
-        match &mut options.partitioner {
-            Partitioner::Milp(o) => o.objective = objective,
-            Partitioner::Heuristic(o) => o.milp.objective = objective,
-            _ => {
-                return Err(
-                    "--milp-comm-weight applies to the milp/heuristic partitioners only".into(),
-                )
-            }
-        }
-    }
     if let Some(n) = flag_value(rest, "--milp-max-pivots") {
         let max_pivots: usize = n
             .parse()
@@ -1161,16 +1151,6 @@ fn parse_options(rest: &[String]) -> Result<FlowOptions, Box<dyn Error>> {
                 return Err(
                     "--milp-max-pivots applies to the milp/heuristic partitioners only".into(),
                 )
-            }
-        }
-    }
-    if let Some(p) = flag_value(rest, "--milp-pricing") {
-        let pricing: PricingRule = p.parse()?;
-        match &mut options.partitioner {
-            Partitioner::Milp(o) => o.pricing = pricing,
-            Partitioner::Heuristic(o) => o.milp.pricing = pricing,
-            _ => {
-                return Err("--milp-pricing applies to the milp/heuristic partitioners only".into())
             }
         }
     }

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use cool_ir::hash::{ContentHash, ContentHasher};
 use cool_ir::Resource;
-use cool_partition::PartitionResult;
+use cool_partition::{HeuristicOptions, PartitionResult};
 use cool_rtl::place::Placement;
 use cool_rtl::SystemController;
 
@@ -601,21 +601,31 @@ impl Stage for CostStage {
 pub struct PartitionStage;
 
 impl PartitionStage {
-    /// The partitioner the stage actually runs: the configured one, with
-    /// the flow-level [`FlowOptions::objective`] override (if any)
-    /// pushed into its options. A fixed mapping has nothing to
-    /// optimize, so the override leaves it untouched. Used by both
-    /// `run` and `cache_key` so the key always describes the solve
-    /// that produced the artifact.
+    /// The partitioner the stage actually runs: the configured one with
+    /// the flow's `jobs`, communication scheme and
+    /// [`FlowOptions::objective`] override (if any) pushed into its
+    /// options — the one place flow options reach the partitioner, so
+    /// it optimizes under the scheme the later stages refine. A fixed
+    /// mapping has nothing to optimize and is left untouched. Used by
+    /// both `run` and `cache_key` so the key always describes the
+    /// solve that produced the artifact. `jobs` never changes a
+    /// completed solve (why it stays out of the options' content
+    /// hashes); the one exception, a node-limit-truncated MILP solve,
+    /// is never cached.
     fn effective_partitioner(options: &crate::FlowOptions) -> Partitioner {
         let mut p = options.partitioner.clone();
-        if let Some(objective) = options.objective {
-            match &mut p {
-                Partitioner::Milp(o) => o.objective = objective,
-                Partitioner::Heuristic(o) => o.milp.objective = objective,
-                Partitioner::Genetic(o) => o.objective = objective,
-                Partitioner::Fixed(_) => {}
+        match &mut p {
+            Partitioner::Milp(o) | Partitioner::Heuristic(HeuristicOptions { milp: o, .. }) => {
+                o.jobs = options.jobs;
+                o.scheme = options.scheme;
+                o.objective = options.objective.unwrap_or(o.objective);
             }
+            Partitioner::Genetic(o) => {
+                o.jobs = options.jobs;
+                o.scheme = options.scheme;
+                o.objective = options.objective.unwrap_or(o.objective);
+            }
+            Partitioner::Fixed(_) => {}
         }
         p
     }
@@ -628,32 +638,10 @@ impl Stage for PartitionStage {
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
         let cost = cx.artifacts.cost()?;
-        // The flow's `jobs` knob governs every parallel stage; thread it
-        // into the MILP branch & bound and the GA's fitness evaluation
-        // too. A completed solve is deterministic for every worker count
-        // (why `jobs` stays out of the options' content hashes and cache
-        // keys); the one exception, a node-limit-truncated MILP solve, is
-        // excluded from the cache below.
         let partition = match &Self::effective_partitioner(cx.options) {
-            Partitioner::Milp(o) => {
-                let o = cool_partition::MilpOptions {
-                    jobs: cx.options.jobs,
-                    ..o.clone()
-                };
-                cool_partition::milp::partition(cx.graph, cost, &o)?
-            }
-            Partitioner::Heuristic(o) => {
-                let mut o = o.clone();
-                o.milp.jobs = cx.options.jobs;
-                cool_partition::heuristic::partition(cx.graph, cost, &o)?
-            }
-            Partitioner::Genetic(o) => {
-                let o = cool_partition::GaOptions {
-                    jobs: cx.options.jobs,
-                    ..o.clone()
-                };
-                cool_partition::genetic::partition(cx.graph, cost, &o)?
-            }
+            Partitioner::Milp(o) => cool_partition::milp::partition(cx.graph, cost, o)?,
+            Partitioner::Heuristic(o) => cool_partition::heuristic::partition(cx.graph, cost, o)?,
+            Partitioner::Genetic(o) => cool_partition::genetic::partition(cx.graph, cost, o)?,
             Partitioner::Fixed(mapping) => {
                 let (makespan, hw_area) =
                     cool_partition::evaluate(cx.graph, mapping, cost, cx.options.scheme)?;
@@ -673,10 +661,10 @@ impl Stage for PartitionStage {
     }
 
     /// The *effective* partitioner configuration (the configured one
-    /// with the flow-level objective override applied, including a fixed
-    /// mapping, if any) and the flow's communication scheme; the cost
-    /// model (which embeds the target, budgets included) arrives
-    /// through the declared read slot.
+    /// with the flow's options pushed in, or a fixed mapping) and the
+    /// flow's communication scheme, which a fixed mapping is evaluated
+    /// under; the cost model (which embeds the target, budgets
+    /// included) arrives through the declared read slot.
     fn cache_key(&self, cx: &FlowContext<'_>) -> Option<u128> {
         let mut h = ContentHasher::new();
         Self::effective_partitioner(cx.options).content_hash(&mut h);

@@ -151,7 +151,8 @@ pub enum Partitioner {
 pub struct FlowOptions {
     /// Partitioning algorithm.
     pub partitioner: Partitioner,
-    /// Communication refinement scheme.
+    /// Communication refinement scheme. The partitioner optimizes under
+    /// it too, so the partition fits the schedule the flow refines.
     pub scheme: CommScheme,
     /// Declared optimization objective. `None` respects whatever the
     /// configured partitioner's own options say (the historical

@@ -21,8 +21,8 @@
 //!
 //! Coalescing is keyed on *content*: the [`ContentHash`] of the parsed
 //! graph, the target, and the options — so two textually different specs
-//! that parse to the same graph share a flight, and knobs that cannot
-//! change artifact bytes (`jobs`, simplex pricing) do not split flights.
+//! that parse to the same graph share a flight, and a knob that cannot
+//! change artifact bytes (`jobs`) does not split flights.
 //! The wire codecs, by contrast, carry **every** knob verbatim: a served
 //! request must run with exactly the options the client sent.
 //!
@@ -755,8 +755,8 @@ fn serve_cache_stats(state: &ServerState) -> Response {
 }
 
 /// Content key for coalescing: what the *artifacts* depend on.  Uses
-/// [`ContentHash`] (not the wire encoding), so `jobs`/pricing changes and
-/// spec reformattings share a flight — they cannot change output bytes.
+/// [`ContentHash`] (not the wire encoding), so `jobs` changes and spec
+/// reformattings share a flight — they cannot change output bytes.
 fn flight_key(graph: &cool_ir::PartitioningGraph, target: &Target, options: &FlowOptions) -> u128 {
     let mut h = ContentHasher::new();
     graph.content_hash(&mut h);

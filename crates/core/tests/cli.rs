@@ -155,8 +155,8 @@ fn flow_warns_on_node_limit_truncated_milp() {
             "--quick",
             "--partitioner",
             "milp",
-            "--milp-comm-weight",
-            "0.1",
+            "--objective",
+            "blend:1,0.1,0.05",
             "--milp-max-nodes",
             "12",
             "--trace",
@@ -189,8 +189,8 @@ fn flow_warns_on_node_limit_truncated_milp() {
             "--quick",
             "--partitioner",
             "milp",
-            "--milp-comm-weight",
-            "0.1",
+            "--objective",
+            "blend:1,0.1,0.05",
             "--trace",
             "--out",
         ])
@@ -590,71 +590,31 @@ fn flow_milp_max_pivots_flag_is_parsed_and_enforced() {
 }
 
 #[test]
-fn flow_milp_pricing_flag_selects_rule_and_keeps_artifacts_identical() {
-    // `--milp-pricing` is an artifact-invariant knob: both rules must
-    // complete the flow and emit byte-identical artifacts (the pricing
-    // rule changes the simplex path, never the completed Solution). A
-    // bogus rule must be rejected with the expected-values diagnostic.
-    let dir = temp_dir("pricing");
-    let g = cool_spec::workloads::random_dag(cool_spec::workloads::RandomDagConfig {
-        nodes: 8,
-        seed: 7,
-        ..Default::default()
-    });
-    let spec = write_spec(&dir, "dag.cool", &cool_spec::print_spec(&g));
-    let mut artifacts = Vec::new();
-    for rule in ["steepest", "bland"] {
-        let out_dir = dir.join(format!("out-{rule}"));
+fn unknown_flags_are_rejected_by_name() {
+    // A removed flag (`--milp-pricing`) and a misspelt one must fail
+    // the run and name the flag, never be silently ignored.
+    let dir = temp_dir("unknown-flag");
+    let spec = write_spec(
+        &dir,
+        "adder.cool",
+        "design adder; input a : 16; input b : 16; node s = add; output y : 16;\n\
+         connect a -> s.0; connect b -> s.1; connect s -> y;\n",
+    );
+    for (flag, value) in [("--milp-pricing", "bland"), ("--partioner", "milp")] {
         let out = cool()
             .arg("flow")
             .arg(&spec)
-            .args([
-                "--quick",
-                "--partitioner",
-                "milp",
-                "--milp-pricing",
-                rule,
-                "--out",
-            ])
-            .arg(&out_dir)
+            .args(["--quick", flag, value, "--out"])
+            .arg(dir.join("out"))
             .output()
             .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} must fail the run");
         assert!(
-            out.status.success(),
-            "{rule}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{flag}: {stderr}"
         );
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&out_dir)
-            .unwrap()
-            .map(|e| {
-                let e = e.unwrap();
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-            .collect();
-        files.sort();
-        assert!(!files.is_empty(), "{rule}: no artifacts written");
-        artifacts.push(files);
     }
-    assert_eq!(
-        artifacts[0], artifacts[1],
-        "pricing rules must produce byte-identical artifacts"
-    );
-
-    let out = cool()
-        .arg("flow")
-        .arg(&spec)
-        .args(["--quick", "--milp-pricing", "fancy"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown pricing rule") && stderr.contains("steepest|bland"),
-        "{stderr}"
-    );
 }
 
 #[test]

@@ -8,8 +8,9 @@ use cool_core::{
     ArtifactSlot, Engine, FlowArtifacts, FlowContext, FlowError, FlowOptions, FlowSession,
     Partitioner, Stage,
 };
-use cool_cost::CostModel;
+use cool_cost::{CommScheme, CostModel};
 use cool_ir::{Mapping, Resource, Target};
+use cool_partition::{GaOptions, MilpOptions};
 use cool_spec::workloads;
 
 fn run_flow(
@@ -251,4 +252,59 @@ fn parallel_flow_simulates_correctly() {
     let ins = cool_ir::eval::input_map([("err", 42), ("derr", -17)]);
     let r = art.simulate(&ins).unwrap();
     assert_eq!(r.outputs, cool_ir::eval::evaluate(&g, &ins).unwrap());
+}
+
+/// The partition stage hands the flow's communication scheme to the
+/// partitioner: under `Direct` the flow reports exactly the partition
+/// the partitioner finds when called with `scheme: Direct` itself, and
+/// the partition's makespan is the one its schedule achieves. The exact
+/// solve runs on `fir(4)`: on `fir(8)` it takes seconds in a debug build.
+#[test]
+fn the_partitioner_optimizes_under_the_flows_scheme() {
+    let target = Target::fuzzy_board();
+    let ga = GaOptions {
+        scheme: CommScheme::Direct,
+        ..GaOptions::default()
+    };
+    let milp = MilpOptions {
+        scheme: CommScheme::Direct,
+        ..MilpOptions::default()
+    };
+    let (fir8, fir4) = (workloads::fir(8), workloads::fir(4));
+    let (cost8, cost4) = (
+        CostModel::new(&fir8, &target),
+        CostModel::new(&fir4, &target),
+    );
+    let cases = [
+        (
+            &fir8,
+            Partitioner::Genetic(GaOptions::default()),
+            cool_partition::genetic::partition(&fir8, &cost8, &ga).unwrap(),
+        ),
+        (
+            &fir4,
+            Partitioner::Milp(MilpOptions::default()),
+            cool_partition::milp::partition(&fir4, &cost4, &milp).unwrap(),
+        ),
+    ];
+    for (g, partitioner, expected) in cases {
+        let options = FlowOptions {
+            partitioner,
+            scheme: CommScheme::Direct,
+            ..FlowOptions::quick()
+        };
+        let partial = FlowSession::new(g)
+            .target(target.clone())
+            .options(options)
+            .run_to(ArtifactSlot::Schedule)
+            .unwrap();
+        let partition = partial.artifacts().partition().unwrap();
+        assert_eq!(partition, &expected, "{}", expected.algorithm);
+        assert_eq!(
+            partition.makespan,
+            partial.artifacts().schedule().unwrap().makespan(),
+            "{}: the reported makespan is the schedule's",
+            expected.algorithm
+        );
+    }
 }

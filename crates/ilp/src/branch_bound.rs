@@ -58,6 +58,10 @@ type WarmBasis = Arc<Vec<usize>>;
 /// pruned only when their bound exceeds `incumbent + TIE_EPS`.
 const TIE_EPS: f64 = 1e-6;
 
+/// Integrality tolerance: a binary within this of an integer counts as
+/// integral, both for branching and for snapping incumbents.
+const INT_TOL: f64 = 1e-6;
+
 /// A worker starts offering subtrees to the shared frontier once its
 /// local DFS stack holds at least this many pending nodes.
 const OFFLOAD_MIN_STACK: usize = 4;
@@ -130,7 +134,6 @@ struct Shared<'a> {
     /// kernels (the root LP, solved before workers exist, gets the full
     /// kernel budget instead).
     lp_opts: LpOptions,
-    int_tol: f64,
     jobs: usize,
     frontier: Mutex<Frontier>,
     /// Mirror of `frontier.heap.len()`, maintained under the frontier
@@ -168,10 +171,8 @@ impl<'a> Shared<'a> {
             max_nodes: options.max_nodes,
             lp_opts: LpOptions {
                 max_pivots: options.max_pivots,
-                pricing: options.pricing,
                 jobs: 1,
             },
-            int_tol: options.int_tol,
             jobs,
             frontier_len: AtomicUsize::new(heap.len()),
             frontier: Mutex::new(Frontier {
@@ -237,19 +238,18 @@ impl<'a> Shared<'a> {
     /// value vector on exact objective ties.
     ///
     /// Candidates are canonicalized first: every coordinate within
-    /// `int_tol` of an integer is snapped to that exact integer and the
+    /// [`INT_TOL`] of an integer is snapped to that exact integer and the
     /// objective is recomputed from the snapped point. An integral-LP
     /// point arrives with path-dependent float noise (±1 ulp-scale
-    /// residue that differs between pricing rules and warm/cold/delta
-    /// solve paths); the point it *represents* does not. Comparing exact
-    /// integer points is what makes the merged incumbent — and the
-    /// downstream artifacts — identical across pricing rules and job
-    /// counts, not merely equal in objective.
+    /// residue that differs between warm/cold/delta solve paths); the
+    /// point it *represents* does not. Comparing exact integer points is
+    /// what makes the merged incumbent — and the downstream artifacts —
+    /// identical across job counts, not merely equal in objective.
     fn offer_incumbent(&self, values: Vec<f64>) {
         let mut values = values;
         for v in values.iter_mut() {
             let r = v.round();
-            if (*v - r).abs() <= self.int_tol {
+            if (*v - r).abs() <= INT_TOL {
                 // `round` preserves the sign of -1e-17: normalize -0.0.
                 *v = if r == 0.0 { 0.0 } else { r };
             }
@@ -305,6 +305,24 @@ fn lex_smaller(a: &[f64], b: &[f64]) -> bool {
         }
     }
     false
+}
+
+/// The most fractional binary of an LP point: the one closest to 0.5,
+/// lowest index on ties. `None` when every binary is integral.
+fn most_fractional(p: &Problem, values: &[f64]) -> Option<usize> {
+    let mut best: Option<(f64, usize)> = None;
+    for (i, k) in p.kinds.iter().enumerate() {
+        if matches!(k, VarKind::Binary) {
+            let v = values[i];
+            if (v - v.round()).abs() > INT_TOL {
+                let score = 0.5 - (0.5 - (v - v.floor())).abs(); // closer to 0.5 = higher
+                if best.map_or(true, |(s, _)| score > s) {
+                    best = Some((score, i));
+                }
+            }
+        }
+    }
+    best.map(|(_, i)| i)
 }
 
 /// One worker: pull subtrees from the frontier, expand depth-first with
@@ -377,28 +395,11 @@ fn expand_subtree(shared: &Shared<'_>, ws: &mut SimplexWorkspace, sub: OpenSubtr
         if shared.prunable(lp.objective) {
             continue;
         }
-        // Find the most fractional binary.
-        let mut branch_var = usize::MAX;
-        let mut branch_frac = 0.0f64;
-        for (i, k) in shared.p.kinds.iter().enumerate() {
-            if matches!(k, VarKind::Binary) {
-                let v = lp.values[i];
-                let frac = (v - v.round()).abs();
-                if frac > shared.int_tol {
-                    let dist_to_half = (0.5 - (v - v.floor())).abs();
-                    let score = 0.5 - dist_to_half; // closer to 0.5 = higher
-                    if branch_var == usize::MAX || score > branch_frac {
-                        branch_var = i;
-                        branch_frac = score;
-                    }
-                }
-            }
-        }
-        if branch_var == usize::MAX {
+        let Some(branch_var) = most_fractional(shared.p, &lp.values) else {
             // Integer feasible: candidate incumbent.
             shared.offer_incumbent(lp.values);
             continue;
-        }
+        };
         // Depth-first: push the less likely branch first so the rounded
         // branch is explored next. Both children warm-start from this
         // node's optimal basis.
@@ -474,7 +475,6 @@ pub(crate) fn solve(p: &Problem, options: &SolveOptions) -> Result<Solution, Ilp
     // root solve is identical at every job count.
     let root_opts = LpOptions {
         max_pivots: options.max_pivots,
-        pricing: options.pricing,
         jobs,
     };
     let root = solve_lp_opts(p, &[], &mut ws, &root_opts)?;
@@ -508,24 +508,10 @@ pub(crate) fn solve(p: &Problem, options: &SolveOptions) -> Result<Solution, Ilp
             .filter(|k| matches!(k, VarKind::Binary))
             .count();
         for _ in 0..=n_bin {
-            let mut branch_var = usize::MAX;
-            let mut branch_score = 0.0f64;
-            for (i, k) in p.kinds.iter().enumerate() {
-                if matches!(k, VarKind::Binary) {
-                    let v = lp.values[i];
-                    if (v - v.round()).abs() > options.int_tol {
-                        let score = 0.5 - (0.5 - (v - v.floor())).abs();
-                        if branch_var == usize::MAX || score > branch_score {
-                            branch_var = i;
-                            branch_score = score;
-                        }
-                    }
-                }
-            }
-            if branch_var == usize::MAX {
+            let Some(branch_var) = most_fractional(p, &lp.values) else {
                 shared.offer_incumbent(lp.values);
                 break;
-            }
+            };
             let r = lp.values[branch_var].round();
             dive_fix.push((branch_var, r, r));
             match solve_lp_delta(p, &dive_fix, &mut ws, &root_opts) {

@@ -8,9 +8,9 @@
 //!
 //! * a **two-phase dense primal simplex** for the LP relaxation
 //!   ([`simplex`]) on a flat stride-indexed tableau, with steepest-edge
-//!   pricing by default and a Bland's-rule anti-cycling fallback
-//!   ([`PricingRule`]), basis warm starts for re-solves one bound flip
-//!   apart, and row-parallel pricing/update kernels, and
+//!   pricing and a Bland's-rule fallback while the objective stalls,
+//!   basis warm starts for re-solves one bound flip apart, and
+//!   row-parallel pricing/update kernels, and
 //! * **branch & bound** over the binary variables ([`branch_bound`]),
 //!   most-fractional branching, best-bound pruning and node limits,
 //!   child LPs warm-started from the parent's optimal basis; parallel
@@ -171,45 +171,6 @@ pub struct Problem {
     pub(crate) constraints: Vec<Constraint>,
 }
 
-/// Entering-column rule of the primal simplex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PricingRule {
-    /// Steepest-edge pricing: pick the candidate maximizing
-    /// `d_j² / (1 + ‖B⁻¹A_j‖²)`. Far fewer pivots than Bland's rule on
-    /// degenerate instances; termination is guaranteed by an
-    /// anti-cycling monitor that hands the choice to [`Self::Bland`]
-    /// after a run of pivots without objective progress (and hands it
-    /// back on the next strict improvement).
-    #[default]
-    SteepestEdge,
-    /// Bland's rule throughout: lowest-index improving column. Provably
-    /// cycle-free, usually slower; kept as a diagnostic baseline.
-    Bland,
-}
-
-impl fmt::Display for PricingRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PricingRule::SteepestEdge => "steepest",
-            PricingRule::Bland => "bland",
-        })
-    }
-}
-
-impl std::str::FromStr for PricingRule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<PricingRule, String> {
-        match s {
-            "steepest" | "steepest-edge" => Ok(PricingRule::SteepestEdge),
-            "bland" => Ok(PricingRule::Bland),
-            other => Err(format!(
-                "unknown pricing rule '{other}' (expected steepest|bland)"
-            )),
-        }
-    }
-}
-
 /// Knobs for [`Problem::solve`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
@@ -219,8 +180,6 @@ pub struct SolveOptions {
     /// as [`IlpError::PivotLimit`] (degenerate instances cycling through
     /// near-tie bases), never as a spurious [`IlpError::Unbounded`].
     pub max_pivots: usize,
-    /// Integrality tolerance: |x - round(x)| below this counts as integer.
-    pub int_tol: f64,
     /// Worker threads for the branch & bound search (`1` = serial, `0` =
     /// all available cores). For a search that runs to completion
     /// ([`Status::Optimal`]) the returned objective, values and status
@@ -231,11 +190,6 @@ pub struct SolveOptions {
     /// depends on worker scheduling (and is flagged
     /// [`Status::LimitReached`]).
     pub jobs: usize,
-    /// Entering-column rule of the primal simplex. Artifact-invariant on
-    /// completed solves: objective and status are identical across
-    /// rules, the pivot *path* (and therefore wall-clock and
-    /// [`Solution::pivots`]) differs.
-    pub pricing: PricingRule,
 }
 
 impl Default for SolveOptions {
@@ -243,9 +197,7 @@ impl Default for SolveOptions {
         SolveOptions {
             max_nodes: 200_000,
             max_pivots: simplex::DEFAULT_MAX_PIVOTS,
-            int_tol: 1e-6,
             jobs: 1,
-            pricing: PricingRule::SteepestEdge,
         }
     }
 }
@@ -273,7 +225,7 @@ pub struct Solution {
     /// Total simplex pivots priced across every LP the search solved
     /// (primal and dual; warm-start basis refactorizations excluded).
     /// Diagnostic only — like `nodes_explored` it varies with `jobs`
-    /// and pricing rule even when the solution does not.
+    /// even when the solution does not.
     pub pivots: usize,
 }
 

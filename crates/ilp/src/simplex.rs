@@ -12,13 +12,12 @@
 //!
 //! * **Cold two-phase primal** ([`solve_lp_opts`]): phase 1 drives the
 //!   infeasibilities out, phase 2 optimizes. The entering column is
-//!   chosen by [`PricingRule::SteepestEdge`] by default —
-//!   `d_j² / (1 + ‖B⁻¹A_j‖²)`, which takes orders of magnitude fewer
-//!   pivots than Bland's rule on degenerate instances — with a
-//!   no-objective-progress counter that falls back to Bland's rule after
-//!   `STALL_LIMIT` stalled pivots (and re-engages steepest edge once
-//!   the objective moves again), so termination stays guaranteed without
-//!   paying Bland's walk everywhere. Artificial variables are *virtual*:
+//!   chosen by steepest edge — `d_j² / (1 + ‖B⁻¹A_j‖²)`, which takes
+//!   orders of magnitude fewer pivots than Bland's rule on degenerate
+//!   instances — with a no-objective-progress counter that falls back
+//!   to Bland's rule after `STALL_LIMIT` stalled pivots (and re-engages
+//!   steepest edge once the objective moves again), so termination
+//!   stays guaranteed without paying Bland's walk everywhere. Artificial variables are *virtual*:
 //!   a row that cannot start on its slack carries a "marker" basis entry
 //!   instead of a stored column — phase 1 never prices the artificials
 //!   (they may only leave), so their columns need not exist, which cuts
@@ -49,7 +48,7 @@
 //! one slack per row, the RHS — so a basis (a set of column indices)
 //! stored at a parent node stays meaningful for every child rebuild.
 
-use crate::{Cmp, IlpError, PricingRule, Problem, VarKind};
+use crate::{Cmp, IlpError, Problem, VarKind};
 
 /// Result of one LP solve.
 #[derive(Debug, Clone)]
@@ -147,8 +146,6 @@ pub struct LpOptions {
     /// Pivot budget per simplex phase; exhaustion is
     /// [`IlpError::PivotLimit`].
     pub max_pivots: usize,
-    /// Entering-column rule for the primal phases.
-    pub pricing: PricingRule,
     /// Worker threads for the row-parallel pricing/update kernels
     /// (`1` = serial; results are bit-identical for every value).
     pub jobs: usize,
@@ -158,7 +155,6 @@ impl Default for LpOptions {
     fn default() -> LpOptions {
         LpOptions {
             max_pivots: DEFAULT_MAX_PIVOTS,
-            pricing: PricingRule::SteepestEdge,
             jobs: 1,
         }
     }
@@ -171,8 +167,7 @@ pub struct SimplexStats {
     /// Priced pivots: primal (both phases) plus dual.
     pub pivots: usize,
     /// Of `pivots`: primal pivots taken while the Bland anti-cycling
-    /// fallback was engaged (always equal to the primal pivot count
-    /// under [`PricingRule::Bland`]).
+    /// fallback was engaged.
     pub bland_pivots: usize,
     /// Of `pivots`: dual-simplex pivots of warm/delta re-solves.
     pub dual_pivots: usize,
@@ -351,7 +346,7 @@ pub fn solve_lp_with(
 }
 
 /// Cold solve: build the two-phase tableau and run primal simplex under
-/// the given pricing rule and kernel job budget.
+/// the given pivot budget and kernel job count.
 ///
 /// # Errors
 ///
@@ -723,7 +718,7 @@ fn basis_objective(ws: &SimplexWorkspace, b: &Build) -> f64 {
 /// vector. Prices the real columns (`0..rhs_col`); marker columns are
 /// virtual and can only leave. Returns the objective at the final basis.
 fn run_primal(ws: &mut SimplexWorkspace, b: &Build, opts: &LpOptions) -> Result<f64, IlpError> {
-    let mut bland = opts.pricing == PricingRule::Bland;
+    let mut bland = false;
     let mut stall = 0usize;
     let mut last_obj = basis_objective(ws, b);
     for _ in 0..opts.max_pivots {
@@ -765,7 +760,7 @@ fn run_primal(ws: &mut SimplexWorkspace, b: &Build, opts: &LpOptions) -> Result<
         let obj = basis_objective(ws, b);
         if obj < last_obj - PROGRESS_EPS {
             stall = 0;
-            bland = opts.pricing == PricingRule::Bland;
+            bland = false;
         } else {
             stall += 1;
             if stall >= STALL_LIMIT {
@@ -1244,69 +1239,6 @@ mod tests {
         }
         let sol = solve_lp(&p, &[]).unwrap();
         assert!((sol.objective + 7.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bland_and_steepest_agree() {
-        // The two pricing rules are different search paths to the same
-        // optimum.
-        for seed in 0..8u64 {
-            let mut p = Problem::minimize();
-            let n = 6;
-            let vars: Vec<_> = (0..n)
-                .map(|i| {
-                    p.add_continuous(0.0, 5.0, -(((seed * 7 + i as u64 * 3) % 9) as f64) - 1.0)
-                })
-                .collect();
-            let terms: Vec<_> = vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, ((seed + i as u64 * 5) % 4 + 1) as f64))
-                .collect();
-            p.add_constraint(&terms, Cmp::Le, 11.0);
-            p.add_constraint(&[(vars[0], 1.0), (vars[1], 1.0)], Cmp::Ge, 1.0);
-            let mut ws = SimplexWorkspace::new();
-            let steepest = solve_lp_opts(
-                &p,
-                &[],
-                &mut ws,
-                &LpOptions {
-                    pricing: PricingRule::SteepestEdge,
-                    ..LpOptions::default()
-                },
-            )
-            .unwrap();
-            let bland = solve_lp_opts(
-                &p,
-                &[],
-                &mut ws,
-                &LpOptions {
-                    pricing: PricingRule::Bland,
-                    ..LpOptions::default()
-                },
-            )
-            .unwrap();
-            // Both rules must find the same optimal *objective*; on a
-            // face of alternate optima they may stop at different
-            // vertices (equally correct). The MILP level regains full
-            // value determinism from the incumbent merge over integer
-            // points, not from the LP vertex choice.
-            assert!(
-                (steepest.objective - bland.objective).abs() < 1e-9,
-                "seed {seed}: steepest {} vs bland {}",
-                steepest.objective,
-                bland.objective
-            );
-            for sol in [&steepest, &bland] {
-                let lhs: f64 = sol
-                    .values
-                    .iter()
-                    .zip(0..n)
-                    .map(|(x, i)| x * ((seed + i as u64 * 5) % 4 + 1) as f64)
-                    .sum();
-                assert!(lhs <= 11.0 + 1e-9, "seed {seed}: infeasible vertex");
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Seeded property battery: the parallel branch & bound must return the
-//! same `Solution` — objective bits, value bits, status — for `jobs ∈
-//! {1, 2, 4}` on random knapsack, equality and partitioning-shaped
+//! same `Solution` — objective, value and best-bound bits, status — for
+//! `jobs ∈ {1, 2, 4}` on random knapsack, equality and partitioning-shaped
 //! instances, and the serial answer must match brute-force enumeration.
 //! Plus a node-limit-under-parallelism check: truncation may change
 //! *whether* the limit path is taken, never crash or return an
@@ -144,6 +144,11 @@ fn assert_identical(a: &Solution, b: &Solution, what: &str) {
     let bb: Vec<u64> = b.values.iter().map(|v| v.to_bits()).collect();
     assert_eq!(ab, bb, "{what}: values differ");
     assert_eq!(a.status, b.status, "{what}: status differs");
+    assert_eq!(
+        a.best_bound.to_bits(),
+        b.best_bound.to_bits(),
+        "{what}: best_bound differs"
+    );
 }
 
 #[test]
@@ -180,6 +185,7 @@ fn parallel_equals_serial_on_equality_instances() {
             "seed {seed}: serial {} vs brute force {expected}",
             serial.objective
         );
+        assert_eq!(serial.status, Status::Optimal, "seed {seed}");
         for jobs in [2usize, 4] {
             let par = solve_with_jobs(&inst, jobs);
             assert_identical(&serial, &par, &format!("equality seed {seed} jobs {jobs}"));
@@ -200,6 +206,7 @@ fn parallel_equals_serial_on_partitioning_instances() {
             "seed {seed}: serial {} vs brute force {expected}",
             serial.objective
         );
+        assert_eq!(serial.status, Status::Optimal, "seed {seed}");
         for jobs in [2usize, 4] {
             let par = solve_with_jobs(&inst, jobs);
             assert_identical(

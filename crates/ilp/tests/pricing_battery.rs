@@ -1,223 +1,10 @@
-//! Seeded property battery for the pricing rules: steepest-edge and
-//! Bland's rule are different simplex search paths to the *same* exact
-//! answer. On random knapsack, equality and partitioning-shaped
-//! instances both rules must match brute-force enumeration, return the
-//! identical `Solution` at `jobs ∈ {1, 2, 4}`, and agree with each other
-//! bit-for-bit on every completed solve (the property that lets the
-//! pricing knob stay out of the flow engine's content hashes). A
-//! cycling-prone degenerate instance must terminate far under the pivot
-//! budget with steepest edge still doing the bulk of the work — the
-//! anti-cycling stall counter may *visit* Bland's rule, never move in.
+//! The simplex's anti-cycling guard: a cycling-prone degenerate
+//! instance must terminate far under the pivot budget with steepest
+//! edge still doing the bulk of the work — the stall counter may
+//! *visit* Bland's rule, never move in.
 
 use cool_ilp::simplex::{solve_lp_opts, LpOptions, SimplexWorkspace, DEFAULT_MAX_PIVOTS};
-use cool_ilp::{Cmp, PricingRule, Problem, Solution, SolveOptions, Status, VarId};
-
-/// Tiny deterministic xorshift64* generator (the battery must not pull
-/// in dependencies; cool_ilp is std-only).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// One constraint row as plain data: terms, sense, right-hand side.
-type Row = (Vec<(usize, f64)>, Cmp, f64);
-
-/// One battery instance, kept as plain data so brute force can evaluate
-/// constraints on arbitrary points.
-struct Instance {
-    costs: Vec<f64>,
-    constraints: Vec<Row>,
-}
-
-impl Instance {
-    fn build(&self) -> Problem {
-        let mut p = Problem::minimize();
-        let vars: Vec<VarId> = self.costs.iter().map(|&c| p.add_binary(c)).collect();
-        for (terms, cmp, rhs) in &self.constraints {
-            let t: Vec<(VarId, f64)> = terms.iter().map(|&(v, a)| (vars[v], a)).collect();
-            p.add_constraint(&t, *cmp, *rhs);
-        }
-        p
-    }
-}
-
-fn brute_force(inst: &Instance) -> Option<f64> {
-    let n = inst.costs.len();
-    assert!(n <= 16);
-    let mut best: Option<f64> = None;
-    'outer: for mask in 0u32..(1 << n) {
-        let x: Vec<f64> = (0..n).map(|i| f64::from((mask >> i) & 1)).collect();
-        for (terms, cmp, rhs) in &inst.constraints {
-            let lhs: f64 = terms.iter().map(|&(v, a)| a * x[v]).sum();
-            let ok = match cmp {
-                Cmp::Le => lhs <= rhs + 1e-9,
-                Cmp::Ge => lhs >= rhs - 1e-9,
-                Cmp::Eq => (lhs - rhs).abs() < 1e-9,
-            };
-            if !ok {
-                continue 'outer;
-            }
-        }
-        let obj: f64 = x.iter().zip(&inst.costs).map(|(v, c)| v * c).sum();
-        if best.map(|b| obj < b).unwrap_or(true) {
-            best = Some(obj);
-        }
-    }
-    best
-}
-
-fn random_knapsack(rng: &mut Rng, n: usize) -> Instance {
-    let costs: Vec<f64> = (0..n).map(|_| -((rng.below(6) + 1) as f64)).collect();
-    let weights: Vec<f64> = (0..n).map(|_| (rng.below(5) + 1) as f64).collect();
-    let cap = weights.iter().sum::<f64>() * 0.45;
-    Instance {
-        costs,
-        constraints: vec![(weights.iter().copied().enumerate().collect(), Cmp::Le, cap)],
-    }
-}
-
-fn random_equality(rng: &mut Rng, n: usize) -> Instance {
-    let costs: Vec<f64> = (0..n).map(|_| rng.below(7) as f64 - 3.0).collect();
-    let k = (1 + rng.below((n - 1) as u64)) as f64;
-    Instance {
-        costs,
-        constraints: vec![((0..n).map(|i| (i, 1.0)).collect(), Cmp::Eq, k)],
-    }
-}
-
-/// Partitioning-shaped instance: items assigned to exactly one of two
-/// bins, per-bin capacity rows — the structure of the MILP partitioner.
-fn random_partitioning(rng: &mut Rng, items: usize) -> Instance {
-    let mut costs = Vec::new();
-    let mut constraints: Vec<Row> = Vec::new();
-    let mut sizes = Vec::new();
-    for i in 0..items {
-        costs.push((rng.below(8) + 1) as f64);
-        costs.push((rng.below(8) + 1) as f64);
-        constraints.push((vec![(2 * i, 1.0), (2 * i + 1, 1.0)], Cmp::Eq, 1.0));
-        sizes.push((rng.below(4) + 1) as f64);
-    }
-    for bin in 0..2usize {
-        let terms: Vec<(usize, f64)> = (0..items).map(|i| (2 * i + bin, sizes[i])).collect();
-        let cap = sizes.iter().sum::<f64>() * 0.7;
-        constraints.push((terms, Cmp::Le, cap));
-    }
-    Instance { costs, constraints }
-}
-
-fn solve(inst: &Instance, pricing: PricingRule, jobs: usize) -> Solution {
-    inst.build()
-        .solve(&SolveOptions {
-            pricing,
-            jobs,
-            ..SolveOptions::default()
-        })
-        .expect("battery instances are feasible")
-}
-
-fn assert_identical(a: &Solution, b: &Solution, what: &str) {
-    assert_eq!(
-        a.objective.to_bits(),
-        b.objective.to_bits(),
-        "{what}: objective differs ({} vs {})",
-        a.objective,
-        b.objective
-    );
-    let ab: Vec<u64> = a.values.iter().map(|v| v.to_bits()).collect();
-    let bb: Vec<u64> = b.values.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(ab, bb, "{what}: values differ");
-    assert_eq!(a.status, b.status, "{what}: status differs");
-    assert_eq!(
-        a.best_bound.to_bits(),
-        b.best_bound.to_bits(),
-        "{what}: best_bound differs"
-    );
-}
-
-/// The shared battery: brute force anchors steepest edge, then Bland and
-/// every job count must reproduce the identical `Solution`.
-fn run_battery(mk: impl Fn(&mut Rng) -> Instance, seeds: std::ops::Range<u64>, what: &str) {
-    for seed in seeds {
-        let mut rng = Rng::new(seed);
-        let inst = mk(&mut rng);
-        let steepest = solve(&inst, PricingRule::SteepestEdge, 1);
-        let expected = brute_force(&inst).expect("battery instances are feasible");
-        assert!(
-            (steepest.objective - expected).abs() < 1e-6,
-            "{what} seed {seed}: steepest {} vs brute force {expected}",
-            steepest.objective
-        );
-        assert_eq!(steepest.status, Status::Optimal, "{what} seed {seed}");
-        let bland = solve(&inst, PricingRule::Bland, 1);
-        assert_identical(
-            &steepest,
-            &bland,
-            &format!("{what} seed {seed} bland-vs-steepest"),
-        );
-        for pricing in [PricingRule::SteepestEdge, PricingRule::Bland] {
-            for jobs in [2usize, 4] {
-                let par = solve(&inst, pricing, jobs);
-                assert_identical(
-                    &steepest,
-                    &par,
-                    &format!("{what} seed {seed} {pricing} jobs {jobs}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn pricing_rules_agree_on_random_knapsacks() {
-    run_battery(
-        |rng| {
-            let n = 6 + rng.below(5) as usize;
-            random_knapsack(rng, n)
-        },
-        0..12,
-        "knapsack",
-    );
-}
-
-#[test]
-fn pricing_rules_agree_on_equality_instances() {
-    run_battery(
-        |rng| {
-            let n = 5 + rng.below(4) as usize;
-            random_equality(rng, n)
-        },
-        100..110,
-        "equality",
-    );
-}
-
-#[test]
-fn pricing_rules_agree_on_partitioning_instances() {
-    run_battery(
-        |rng| {
-            let items = 3 + rng.below(4) as usize;
-            random_partitioning(rng, items)
-        },
-        200..208,
-        "partitioning",
-    );
-}
+use cool_ilp::{Cmp, Problem, VarId};
 
 #[test]
 fn cycling_prone_instance_terminates_without_permanent_bland_fallback() {

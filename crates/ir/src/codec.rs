@@ -539,7 +539,11 @@ pub const FRAME_MAGIC: [u8; 8] = *b"COOLWIR\0";
 ///
 /// v4: the four kind-specific cache get/put requests became one
 /// `CacheGet` and one `CachePut`; the entry bytes carry their kind.
-pub const FRAME_VERSION: u32 = 4;
+///
+/// v5: a flow request's partitioner options shrank — the MILP options
+/// lost their pricing-rule byte, the GA options their tournament size,
+/// mutation rate and area penalty.
+pub const FRAME_VERSION: u32 = 5;
 /// Upper bound on a frame's payload, checked *before* allocation so a
 /// hostile or bit-flipped length prefix cannot OOM the server.
 pub const MAX_FRAME_PAYLOAD: u64 = 64 * 1024 * 1024;

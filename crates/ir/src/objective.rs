@@ -14,8 +14,7 @@
 //! [`Objective::weights`]; the named variants are canonical presets
 //! (with [`Objective::Makespan`] reproducing the historical defaults
 //! exactly), and [`Objective::Blend`] carries explicit weights for
-//! everything else — including specs migrated from the deprecated
-//! `--milp-comm-weight` knob.
+//! everything else.
 
 use std::fmt;
 use std::str::FromStr;

@@ -22,19 +22,14 @@ pub struct GaOptions {
     pub population: usize,
     /// Generations to evolve.
     pub generations: usize,
-    /// Tournament size for selection.
-    pub tournament: usize,
-    /// Per-gene mutation probability (defaults to `1/genes` when `None`).
-    pub mutation_rate: Option<f64>,
     /// RNG seed for reproducibility.
     pub seed: u64,
-    /// Communication scheme assumed by the fitness schedule.
+    /// Communication scheme assumed by the fitness schedule. The flow
+    /// engine sets it from `FlowOptions::scheme`.
     pub scheme: CommScheme,
     /// What fitness minimizes (see the module docs for the ranking each
     /// variant induces).
     pub objective: Objective,
-    /// Penalty in cycles per CLB of FPGA over-subscription.
-    pub area_penalty: u64,
     /// Worker threads for fitness evaluation (`1` = serial, `0` = all
     /// cores). The flow engine sets it from `FlowOptions::jobs`; the
     /// result is identical for every value.
@@ -46,16 +41,19 @@ impl Default for GaOptions {
         GaOptions {
             population: 32,
             generations: 40,
-            tournament: 3,
-            mutation_rate: None,
             seed: 42,
             scheme: CommScheme::MemoryMapped,
             objective: Objective::Makespan,
-            area_penalty: 50,
             jobs: 1,
         }
     }
 }
+
+/// Tournament size for selection.
+const TOURNAMENT: usize = 3;
+
+/// Penalty in cycles per CLB of FPGA over-subscription.
+const AREA_PENALTY: u64 = 50;
 
 /// A lexicographic fitness key: smaller is fitter, the second component
 /// breaks ties in the first. [`Objective::Makespan`] keeps the second
@@ -81,7 +79,8 @@ pub fn partition(
     let resources = cost.target().resources();
     let r_count = resources.len();
     let mut rng = StdRng::seed_from_u64(options.seed);
-    let mutation = options.mutation_rate.unwrap_or(1.0 / genes.max(1) as f64);
+    // Per-gene mutation probability: one gene per child on average.
+    let mutation = 1.0 / genes.max(1) as f64;
 
     // Initial population: all-software, all-hardware-round-robin, randoms.
     let mut pop: Vec<Vec<u8>> = Vec::with_capacity(options.population);
@@ -110,8 +109,8 @@ pub fn partition(
         // Elitism: carry the champion.
         next.push(best.0.clone());
         while next.len() < pop.len() {
-            let a = tournament(&pop, &fitnesses, options.tournament, &mut rng);
-            let b = tournament(&pop, &fitnesses, options.tournament, &mut rng);
+            let a = tournament(&pop, &fitnesses, &mut rng);
+            let b = tournament(&pop, &fitnesses, &mut rng);
             let mut child: Vec<u8> = (0..genes)
                 .map(|i| {
                     if rng.random_range(0..2) == 0 {
@@ -180,7 +179,7 @@ fn fitness(
         return (u64::MAX / 2, u64::MAX / 2);
     };
     let makespan = s.makespan();
-    let penalty = violation * options.area_penalty;
+    let penalty = violation * AREA_PENALTY;
     let area: u64 = usage.iter().map(|&a| u64::from(a)).sum();
     let comm = || -> u64 {
         mapping
@@ -204,9 +203,9 @@ fn fitness(
     }
 }
 
-fn tournament(pop: &[Vec<u8>], fit: &[Fitness], k: usize, rng: &mut StdRng) -> usize {
+fn tournament(pop: &[Vec<u8>], fit: &[Fitness], rng: &mut StdRng) -> usize {
     let mut best = rng.random_range(0..pop.len());
-    for _ in 1..k.max(1) {
+    for _ in 1..TOURNAMENT {
         let c = rng.random_range(0..pop.len());
         if fit[c] < fit[best] {
             best = c;

@@ -1,5 +1,5 @@
 //! MILP + heuristic partitioning: communication-guided clustering followed
-//! by an exact solve on the reduced graph.
+//! by an exact solve over the clusters.
 //!
 //! The exact MILP is exponential in the node count; COOL's pragmatic
 //! variant first merges tightly-communicating neighbours into clusters
@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use cool_cost::CostModel;
-use cool_ir::{Behavior, NodeId, NodeKind, PartitioningGraph, Resource};
+use cool_ir::{NodeId, NodeKind, PartitioningGraph, Resource};
 
 use crate::milp::MilpOptions;
 use crate::{Algorithm, PartitionError, PartitionResult};
@@ -114,7 +114,7 @@ pub fn partition(
         }
     }
 
-    // --- 2. Build the reduced cluster graph. ---
+    // --- 2. Cluster membership and inter-cluster communication. ---
     let mut root_to_cluster: BTreeMap<usize, usize> = BTreeMap::new();
     for &n in &functions {
         let r = uf.find(n.index());
@@ -122,55 +122,13 @@ pub fn partition(
         root_to_cluster.entry(r).or_insert(next);
     }
     let k = root_to_cluster.len();
-    let mut reduced = PartitioningGraph::new(format!("{}_clustered", g.name()));
-    // Mirror primary I/O.
-    let mut io_map: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    for (id, node) in g.nodes() {
-        match node.kind() {
-            NodeKind::Input => {
-                io_map.insert(id, reduced.add_input(node.name(), 16));
-            }
-            NodeKind::Output => {
-                io_map.insert(id, reduced.add_output(node.name(), 16));
-            }
-            NodeKind::Function => {}
-        }
-    }
-    // One synthetic node per cluster whose behaviour is the concatenation
-    // of member behaviours (costs add up; semantics are irrelevant for
-    // partitioning, only for the final expansion which reuses `g`).
-    let mut cluster_nodes: Vec<NodeId> = Vec::with_capacity(k);
     let mut cluster_members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
     for &n in &functions {
         let c = root_to_cluster[&uf.find(n.index())];
         cluster_members[c].push(n);
     }
-    for (c, members) in cluster_members.iter().enumerate() {
-        // Surrogate behaviour: chain of the members' ops on one input so
-        // the cost model sees the summed op inventory.
-        let mut exprs = Vec::new();
-        for &m in members {
-            let b = g.node(m).expect("member exists").behavior();
-            for e in b.output_exprs() {
-                exprs.push(rebase_inputs(e));
-            }
-        }
-        if exprs.is_empty() {
-            exprs.push(cool_ir::Expr::Input(0));
-        }
-        let behavior = Behavior::new(1, exprs).expect("rebased expressions read input 0 only");
-        let node = reduced
-            .add_function(format!("cluster{c}"), behavior)
-            .expect("cluster names unique");
-        cluster_nodes.push(node);
-    }
-    // Reduced edges: cluster-to-cluster (summed as parallel edges) and
-    // IO-to-cluster. Input ports on the reduced graph are synthetic, so we
-    // wire everything to port 0 and rely on a permissive connect: instead
-    // we rebuild connectivity as a side table for the MILP only.
-    // The reduced MILP needs: per-cluster exec/area (from behaviour) and
-    // inter-cluster comm weights. We keep the side table and synthesize a
-    // *valid* reduced graph wiring for cost-model construction: a chain.
+    // Communication summed per cluster pair, and per cluster towards the
+    // primary I/O pinned on the first processor.
     let mut inter: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     let mut io_cut: BTreeMap<usize, u64> = BTreeMap::new();
     for (_, e) in g.edges() {
@@ -188,8 +146,8 @@ pub fn partition(
         }
     }
 
-    // --- 3. Reduced MILP over clusters (built directly, not via the
-    // reduced graph, to keep full control of the comm terms). ---
+    // --- 3. Reduced MILP over clusters: per-cluster exec and area are
+    // the members' sums. ---
     let target = cost.target();
     let resources = target.resources();
     let r_count = resources.len();
@@ -240,9 +198,7 @@ pub fn partition(
     let sol = p.solve(&cool_ilp::SolveOptions {
         max_nodes: options.milp.max_nodes,
         max_pivots: options.milp.max_pivots,
-        int_tol: 1e-6,
         jobs: options.milp.jobs,
-        pricing: options.milp.pricing,
     })?;
 
     // --- 4. Expand clusters back to nodes. ---
@@ -256,7 +212,6 @@ pub fn partition(
         }
     }
     let (makespan, hw_area) = crate::evaluate(g, &mapping, cost, options.milp.scheme)?;
-    let _ = (reduced, cluster_nodes, io_map);
     Ok(PartitionResult {
         mapping,
         algorithm: Algorithm::Heuristic,
@@ -295,17 +250,6 @@ fn cluster_of(
         root_to_cluster.get(&uf.find_const(n.index())).copied()
     } else {
         None
-    }
-}
-
-/// Rewrite every `Input(_)` leaf to `Input(0)` so member behaviours can be
-/// concatenated into a single-input surrogate.
-fn rebase_inputs(e: &cool_ir::Expr) -> cool_ir::Expr {
-    use cool_ir::Expr;
-    match e {
-        Expr::Input(_) => Expr::Input(0),
-        Expr::Const(c) => Expr::Const(*c),
-        Expr::Apply(op, args) => Expr::Apply(*op, args.iter().map(rebase_inputs).collect()),
     }
 }
 

@@ -34,20 +34,12 @@ pub use genetic::GaOptions;
 pub use heuristic::HeuristicOptions;
 pub use milp::MilpOptions;
 
-// Re-exported so CLI/engine layers can name the pricing rule without a
-// direct `cool_ilp` dependency.
-pub use cool_ilp::PricingRule;
-
 impl ContentHash for MilpOptions {
-    /// `jobs` and `pricing` are deliberately excluded — both are
-    /// artifact-invariant. `jobs`: the parallel branch & bound's
+    /// `jobs` is deliberately excluded: the parallel branch & bound's
     /// deterministic merge makes a *completed* solve identical for
-    /// every worker count. `pricing`: the entering-column rule changes
-    /// the pivot *path*, but tie-preserving pruning plus the
-    /// total-order incumbent merge return the same colouring from any
-    /// path that runs to completion. Either knob changes wall-clock
-    /// only — and the engine never caches the one exception,
-    /// limit-truncated results.
+    /// every worker count, so the knob changes wall-clock only — and
+    /// the engine never caches the one exception, limit-truncated
+    /// results.
     fn content_hash(&self, h: &mut ContentHasher) {
         self.objective.content_hash(h);
         h.write_usize(self.max_nodes);
@@ -70,18 +62,9 @@ impl ContentHash for GaOptions {
     fn content_hash(&self, h: &mut ContentHasher) {
         h.write_usize(self.population);
         h.write_usize(self.generations);
-        h.write_usize(self.tournament);
-        match self.mutation_rate {
-            None => h.write_u8(0),
-            Some(r) => {
-                h.write_u8(1);
-                h.write_f64(r);
-            }
-        }
         h.write_u64(self.seed);
         self.scheme.content_hash(h);
         self.objective.content_hash(h);
-        h.write_u64(self.area_penalty);
     }
 }
 
@@ -199,18 +182,12 @@ impl fmt::Display for Optimality {
 
 impl Codec for MilpOptions {
     /// Unlike the content hash, the wire encoding carries *every* knob
-    /// (`pricing` and `jobs` included): a served request must run with
-    /// exactly the options the client asked for, wall-clock-only or not.
-    /// `pricing` travels as a raw tag byte because [`PricingRule`] lives
-    /// in `cool_ilp`, which does not depend on the codec.
+    /// (`jobs` included): a served request must run with exactly the
+    /// options the client asked for, wall-clock-only or not.
     fn encode(&self, e: &mut Encoder) {
         self.objective.encode(e);
         e.put_usize(self.max_nodes);
         e.put_usize(self.max_pivots);
-        e.put_u8(match self.pricing {
-            PricingRule::SteepestEdge => 0,
-            PricingRule::Bland => 1,
-        });
         self.scheme.encode(e);
         e.put_usize(self.jobs);
     }
@@ -220,16 +197,6 @@ impl Codec for MilpOptions {
             objective: cool_ir::Objective::decode(d)?,
             max_nodes: d.take_usize()?,
             max_pivots: d.take_usize()?,
-            pricing: match d.take_u8()? {
-                0 => PricingRule::SteepestEdge,
-                1 => PricingRule::Bland,
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        type_name: "PricingRule",
-                        tag,
-                    })
-                }
-            },
             scheme: CommScheme::decode(d)?,
             jobs: d.take_usize()?,
         })
@@ -254,12 +221,9 @@ impl Codec for GaOptions {
     fn encode(&self, e: &mut Encoder) {
         e.put_usize(self.population);
         e.put_usize(self.generations);
-        e.put_usize(self.tournament);
-        self.mutation_rate.encode(e);
         e.put_u64(self.seed);
         self.scheme.encode(e);
         self.objective.encode(e);
-        e.put_u64(self.area_penalty);
         e.put_usize(self.jobs);
     }
 
@@ -267,12 +231,9 @@ impl Codec for GaOptions {
         Ok(GaOptions {
             population: d.take_usize()?,
             generations: d.take_usize()?,
-            tournament: d.take_usize()?,
-            mutation_rate: Option::decode(d)?,
             seed: d.take_u64()?,
             scheme: CommScheme::decode(d)?,
             objective: cool_ir::Objective::decode(d)?,
-            area_penalty: d.take_u64()?,
             jobs: d.take_usize()?,
         })
     }

@@ -28,17 +28,13 @@ pub struct MilpOptions {
     pub objective: Objective,
     /// Branch & bound node limit.
     pub max_nodes: usize,
-    /// Simplex pivot budget per LP relaxation. Under the default
-    /// steepest-edge pricing even degenerate low-comm-weight instances
+    /// Simplex pivot budget per LP relaxation. Under steepest-edge
+    /// pricing even degenerate low-comm-weight instances
     /// stay far from this; exhausting the budget surfaces as a truthful
     /// [`cool_ilp::IlpError::PivotLimit`] (never a spurious `Unbounded`).
     pub max_pivots: usize,
-    /// Simplex entering-column rule. Artifact-invariant: a completed
-    /// solve's colouring is identical across rules (only pivot counts
-    /// and wall-clock differ), so — like `jobs` — the knob is excluded
-    /// from the options content hash.
-    pub pricing: cool_ilp::PricingRule,
-    /// Communication scheme assumed for edge costs.
+    /// Communication scheme assumed for edge costs. The engine threads
+    /// `FlowOptions::scheme` through here.
     pub scheme: CommScheme,
     /// Worker threads for the branch & bound search (`1` = serial, `0` =
     /// all cores). The engine threads `FlowOptions::jobs` through here.
@@ -54,7 +50,6 @@ impl Default for MilpOptions {
             objective: Objective::Makespan,
             max_nodes: 50_000,
             max_pivots: cool_ilp::simplex::DEFAULT_MAX_PIVOTS,
-            pricing: cool_ilp::PricingRule::SteepestEdge,
             scheme: CommScheme::MemoryMapped,
             jobs: 1,
         }
@@ -151,9 +146,7 @@ pub fn partition(
     let sol = p.solve(&SolveOptions {
         max_nodes: options.max_nodes,
         max_pivots: options.max_pivots,
-        int_tol: 1e-6,
         jobs: options.jobs,
-        pricing: options.pricing,
     })?;
 
     // Extract mapping.
@@ -175,13 +168,11 @@ pub fn partition(
     // Canonical unit labels: interchangeable hardware units (same CLB
     // budget, same per-node execution cost) make every colouring one
     // representative of a label-permutation orbit, and which
-    // representative the B&B lands on depends on the LP pivot path —
-    // i.e. on the pricing rule. Relabelling each orbit in
-    // first-hosted-node order is cost-neutral (identical units) and
-    // collapses the orbit to one canonical mapping, so steepest-edge
-    // and Bland runs emit byte-identical artifacts. A post-pass is
-    // deliberate: model-level symmetry rows make the LPs pathologically
-    // degenerate.
+    // representative the B&B lands on depends on the LP pivot path.
+    // Relabelling each orbit in first-hosted-node order is cost-neutral
+    // (identical units) and collapses the orbit to one canonical
+    // mapping. A post-pass is deliberate: model-level symmetry rows
+    // make the LPs pathologically degenerate.
     let n_hw = target.hw.len();
     let mut orbit_of: Vec<usize> = (0..n_hw).collect();
     for h in 1..n_hw {
@@ -312,10 +303,7 @@ mod tests {
         // honestly"): with steepest-edge pricing a >20-node degenerate
         // low-comm-weight instance no longer walks Bland's rule toward
         // the 100k budget — it must solve to *proven optimality* under
-        // the unmodified default budgets. Forcing Bland's rule must
-        // reach the same colouring (only the search path differs), which
-        // is what lets the pricing knob stay out of the content hash.
-        // The instance is the committed CI smoke spec
+        // the unmodified default budgets. The instance is the committed CI smoke spec
         // (`examples/specs/degenerate21.cool`); it is the calibrated
         // fast point of the degenerate family the PR-5 test drew from —
         // the family's harder members take minutes even post-rework
@@ -336,17 +324,6 @@ mod tests {
             crate::Optimality::Optimal,
             "degenerate 21-node instance must solve to proven optimality"
         );
-        let bland = MilpOptions {
-            pricing: cool_ilp::PricingRule::Bland,
-            ..defaults
-        };
-        let bland_res = partition(&g, &cost, &bland).unwrap();
-        assert_eq!(bland_res.optimality, crate::Optimality::Optimal);
-        assert_eq!(
-            bland_res.mapping, res.mapping,
-            "completed solves must agree across pricing rules"
-        );
-        assert_eq!(bland_res.makespan, res.makespan);
     }
 
     #[test]
