@@ -94,6 +94,37 @@ use cool_cost::CommScheme;
 use cool_ir::{BudgetConstraint, Objective, PartitioningGraph, Resource, Target};
 use cool_partition::{GaOptions, HeuristicOptions, MilpOptions, Optimality};
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The one way `cool` writes to stdout, flushed at once so `watch` and
+/// `serve` report as they go. When the reader has gone away
+/// (`cool flow … | head -1`), the process ends quietly with status 0,
+/// where `println!` would panic; any other write error ends it with
+/// status 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cool: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
         Ok(()) => ExitCode::SUCCESS,
@@ -120,7 +151,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
         "check" => {
             let spec = read_spec(rest)?;
             let graph = cool_spec::parse(&spec)?;
-            println!(
+            outln!(
                 "ok: design `{}` with {} nodes, {} edges",
                 graph.name(),
                 graph.node_count(),
@@ -160,7 +191,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
             }
             let (session, cache) = configure_session(&graph, &options, rest)?;
             let art = session.run()?;
-            println!("{}", art.report());
+            outln!("{}", art.report());
             warn_on_truncation(art.partition.optimality, art.partition.gap);
             check_expectations(&art.trace, rest)?;
             print_trace(rest, &art.trace, options.jobs, cache.as_ref());
@@ -176,7 +207,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
             for p in &art.c_programs {
                 fs::write(dir.join(&p.file_name), &p.source)?;
             }
-            println!(
+            outln!(
                 "wrote {} VHDL unit(s), {} C unit(s) and the memory map to {}",
                 art.vhdl.len(),
                 art.c_programs.len(),
@@ -226,14 +257,14 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
                 } else {
                     r.bus_busy_cycles as f64 / r.cycles as f64
                 };
-                println!(
+                outln!(
                     "simulated {} cycles ({} bus transfer(s), bus {:.1} % busy)",
                     r.cycles,
                     r.bus_transfers,
                     100.0 * busy
                 );
                 for (name, value) in &r.outputs {
-                    println!("  {name} = {value}");
+                    outln!("  {name} = {value}");
                 }
                 return Ok(());
             }
@@ -241,14 +272,14 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
             let art = session.run()?;
             warn_on_truncation(art.partition.optimality, art.partition.gap);
             let r = art.simulate(&inputs)?;
-            println!(
+            outln!(
                 "simulated {} cycles ({} bus transfer(s), bus {:.1} % busy)",
                 r.cycles,
                 r.bus_transfers,
                 100.0 * r.bus_utilization()
             );
             for (name, value) in &r.outputs {
-                println!("  {name} = {value}");
+                outln!("  {name} = {value}");
             }
             print_trace(rest, &art.trace, options.jobs, cache.as_ref());
             Ok(())
@@ -272,13 +303,13 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
             let (session, cache) = configure_session(&graph, &options, rest)?;
             let front = session.pareto(budgets)?;
             if rest.iter().any(|a| a == "--csv") {
-                print!("{}", front.to_csv());
+                out!("{}", front.to_csv());
             } else {
-                print!("{}", front.report());
+                out!("{}", front.report());
             }
             if rest.iter().any(|a| a == "--trace") {
                 if let Some(cache) = &cache {
-                    println!("{}", cache.stats().summary());
+                    outln!("{}", cache.stats().summary());
                 }
             }
             Ok(())
@@ -288,7 +319,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
         "ping" => run_ping(rest),
         "cache" => run_cache_command(rest),
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{}", usage()).into()),
@@ -471,13 +502,13 @@ fn print_trace(rest: &[String], trace: &FlowTrace, jobs: usize, cache: Option<&S
     if !rest.iter().any(|a| a == "--trace") {
         return;
     }
-    println!(
+    outln!(
         "engine trace ({} worker(s)):",
         cool_ir::par::effective_jobs(jobs, usize::MAX)
     );
-    print!("{}", trace.to_table());
+    out!("{}", trace.to_table());
     if let Some(cache) = cache {
-        println!("{}", cache.stats().summary());
+        outln!("{}", cache.stats().summary());
     }
 }
 
@@ -530,20 +561,20 @@ fn run_family_mode(
         .options(options.clone());
     let cache = cache_from_flags(rest)?;
     let family = with_cache(session, cache.as_ref()).run_family()?;
-    print!("{}", family.report());
+    out!("{}", family.report());
     for art in &family {
         warn_on_truncation(art.partition.optimality, art.partition.gap);
     }
     if rest.iter().any(|a| a == "--trace") {
         for (i, art) in family.iter().enumerate() {
-            println!("board #{i} trace:");
-            print!("{}", art.trace.to_table());
+            outln!("board #{i} trace:");
+            out!("{}", art.trace.to_table());
         }
         if let Some(cache) = &cache {
-            println!("{}", cache.stats().summary());
+            outln!("{}", cache.stats().summary());
         }
     }
-    println!(
+    outln!(
         "family mode reports without writing files; re-run with --target BOARD \
          to write one board's VHDL/C"
     );
@@ -561,12 +592,12 @@ fn run_partial_mode(
     let stop = parse_stop_stage(stage)?;
     let (session, cache) = configure_session(graph, options, rest)?;
     let partial = session.run_to(stop)?;
-    println!(
+    outln!(
         "partial flow of design `{}` (stopped after `{stage}`):",
         graph.name()
     );
     for slot in ArtifactSlot::ALL {
-        println!(
+        outln!(
             "  {:<16} {}",
             slot.name(),
             if partial.artifacts().is_filled(slot) {
@@ -577,7 +608,7 @@ fn run_partial_mode(
         );
     }
     if let Ok(p) = partial.artifacts().partition() {
-        println!(
+        outln!(
             "partition: {} sw node(s), {} hw node(s), makespan {} cycles ({})",
             p.software_nodes(graph),
             p.hardware_nodes(graph),
@@ -586,12 +617,12 @@ fn run_partial_mode(
         );
     }
     if rest.iter().any(|a| a == "--trace") {
-        print!("{}", partial.trace().to_table());
+        out!("{}", partial.trace().to_table());
         if let Some(cache) = &cache {
-            println!("{}", cache.stats().summary());
+            outln!("{}", cache.stats().summary());
         }
     }
-    println!(
+    outln!(
         "partial flows report without writing files; run the full flow \
          (drop --to-stage) to write VHDL/C{}",
         if flag_value(rest, "--out").is_some() {
@@ -705,7 +736,6 @@ fn check_expectations(trace: &FlowTrace, rest: &[String]) -> Result<(), Box<dyn 
 /// the loop. `--max-runs N` exits after `N` runs (0 = watch forever),
 /// which is how the tests drive it.
 fn run_watch(rest: &[String]) -> Result<(), Box<dyn Error>> {
-    use std::io::Write as _;
     use std::time::{Duration, Instant};
 
     let path = rest
@@ -735,7 +765,7 @@ fn run_watch(rest: &[String]) -> Result<(), Box<dyn Error>> {
         // whole point of watching is the warm re-run.
         Some(cache_from_flags(rest)?.unwrap_or_default())
     };
-    println!(
+    outln!(
         "watching {path} (poll {poll_ms} ms, cache {}) — edit the file to re-run",
         match (&cache, cache_dir_flag(rest)) {
             (None, _) => "off".to_string(),
@@ -751,7 +781,6 @@ fn run_watch(rest: &[String]) -> Result<(), Box<dyn Error>> {
             }
         }
     );
-    std::io::stdout().flush()?;
 
     let mut runs = 0usize;
     let mut last_seen: Option<Vec<u8>> = None;
@@ -776,8 +805,7 @@ fn run_watch(rest: &[String]) -> Result<(), Box<dyn Error>> {
                 Err(e) => {
                     let msg = e.to_string();
                     if read_error.as_ref() != Some(&msg) {
-                        println!("cannot read {path}: {msg} (still watching)");
-                        std::io::stdout().flush()?;
+                        outln!("cannot read {path}: {msg} (still watching)");
                         read_error = Some(msg);
                     }
                 }
@@ -797,7 +825,7 @@ fn run_watch(rest: &[String]) -> Result<(), Box<dyn Error>> {
                     0 => String::new(),
                     n => format!(", {n} remote"),
                 };
-                println!(
+                outln!(
                     "run #{runs}: ok in {:.2?} — {} stage hit(s) ({} disk{remote}), {} node \
                      artifact(s) reused ({} disk), {} synthesized fresh",
                     t0.elapsed(),
@@ -808,19 +836,18 @@ fn run_watch(rest: &[String]) -> Result<(), Box<dyn Error>> {
                     t.node_computed(),
                 );
                 if trace {
-                    print!("{}", t.to_table());
+                    out!("{}", t.to_table());
                     if let Some(cache) = &cache {
-                        println!("{}", cache.stats().summary());
+                        outln!("{}", cache.stats().summary());
                     }
                 }
             }
             // Watch through errors: a spec saved mid-edit parses bad for
             // a moment, and the next save must still trigger a run.
-            Err(e) => println!("run #{runs}: error: {e} (still watching)"),
+            Err(e) => outln!("run #{runs}: error: {e} (still watching)"),
         }
-        std::io::stdout().flush()?;
         if max_runs > 0 && runs >= max_runs {
-            println!("reached --max-runs {max_runs}; stopping");
+            outln!("reached --max-runs {max_runs}; stopping");
             return Ok(());
         }
     }
@@ -855,8 +882,6 @@ fn watch_once(
 /// atomic (write + rename), so a SIGTERM mid-flow never leaves a
 /// corrupt cache entry behind.
 fn run_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
-    use std::io::Write as _;
-
     let addr = flag_value(rest, "--addr").unwrap_or_else(|| DEFAULT_ADDR.to_string());
     // Like `watch`, the cache defaults *on*: a daemon without one would
     // just be a slower way to fork `cool flow`.
@@ -868,7 +893,7 @@ fn run_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
     // `Server::bind` refuses a `--cache-remote` tier: daemons never chain.
     let server =
         Server::bind(&addr, cache).map_err(|e| format!("cannot start coold on {addr}: {e}"))?;
-    println!(
+    outln!(
         "coold listening on {} (cache {}) — point clients at it with --connect",
         server.addr(),
         match cache_dir_flag(rest) {
@@ -876,9 +901,8 @@ fn run_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
             None => "memory".to_string(),
         }
     );
-    std::io::stdout().flush()?;
     server.run()?;
-    println!("coold: shut down cleanly");
+    outln!("coold: shut down cleanly");
     Ok(())
 }
 
@@ -889,7 +913,7 @@ fn run_ping(rest: &[String]) -> Result<(), Box<dyn Error>> {
     let mut client = connect_client(&addr)?;
     let t0 = std::time::Instant::now();
     client.ping()?;
-    println!(
+    outln!(
         "pong from coold at {addr} in {:.3} ms",
         t0.elapsed().as_secs_f64() * 1e3
     );
@@ -921,17 +945,17 @@ fn run_flow_connected(
         target: target_flag(rest)?,
         options: options.clone(),
     })?;
-    println!("{}", resp.report);
+    outln!("{}", resp.report);
     warn_on_truncation(resp.optimality, resp.gap);
     check_expectations(&resp.trace, rest)?;
-    println!(
+    outln!(
         "served by coold at {addr}: flight #{}, {} request(s) on the flight, {} stage(s) computed",
         resp.flight,
         resp.joined,
         resp.stages_computed(),
     );
     if rest.iter().any(|a| a == "--trace") {
-        print!("{}", resp.trace.to_table());
+        out!("{}", resp.trace.to_table());
     }
     let dir = PathBuf::from(out);
     fs::create_dir_all(&dir)?;
@@ -942,7 +966,7 @@ fn run_flow_connected(
     for (name, source) in &resp.c_programs {
         fs::write(dir.join(name), source)?;
     }
-    println!(
+    outln!(
         "wrote {} VHDL unit(s), {} C unit(s) and the memory map to {}",
         resp.vhdl.len(),
         resp.c_programs.len(),
@@ -988,24 +1012,27 @@ fn run_cache_command(rest: &[String]) -> Result<(), Box<dyn Error>> {
             let addr = flag_value(rest, "--connect").expect("checked above");
             let mut client = connect_client(&addr)?;
             let stats = client.cache_stats()?;
-            println!(
+            outln!(
                 "coold at {addr}: {} stage entr{}, {} node entr{} resident",
                 stats.entries,
                 plural(stats.entries as usize),
                 stats.node_entries,
                 plural(stats.node_entries as usize),
             );
-            println!(
+            outln!(
                 "  fleet traffic: {} get hit(s), {} get miss(es), {} put(s) accepted, \
                  {} put(s) rejected",
-                stats.serve_hits, stats.serve_misses, stats.puts_accepted, stats.puts_rejected,
+                stats.serve_hits,
+                stats.serve_misses,
+                stats.puts_accepted,
+                stats.puts_rejected,
             );
-            println!("  {}", stats.summary);
+            outln!("  {}", stats.summary);
             Ok(())
         }
         "stats" => {
             if !std::path::Path::new(&dir).is_dir() {
-                println!("cache directory `{dir}` does not exist (0 entries)");
+                outln!("cache directory `{dir}` does not exist (0 entries)");
                 return Ok(());
             }
             // Strictly read-only: open unbounded (cap 0 disables the
@@ -1016,14 +1043,14 @@ fn run_cache_command(rest: &[String]) -> Result<(), Box<dyn Error>> {
             let cap = cache_max_bytes_flag(rest)?;
             let store = cool_core::DiskStore::open_with_cap(&dir, 0)?;
             let n = store.entry_count();
-            println!(
+            outln!(
                 "cache directory `{dir}`: {n} entr{}, {} bytes (cap {cap} bytes, format v{})",
                 plural(n),
                 store.total_bytes(),
                 cool_core::disk::FORMAT_VERSION,
             );
             let kinds = store.kind_counts();
-            println!(
+            outln!(
                 "  {} stage entr{}, {} node entr{}, {} invalid (foreign version, corrupt \
                  or unknown kind — evicted on next keyed access)",
                 kinds.stage,
@@ -1034,12 +1061,12 @@ fn run_cache_command(rest: &[String]) -> Result<(), Box<dyn Error>> {
             );
             let victims = store.would_evict(cap);
             if victims > 0 {
-                println!(
+                outln!(
                     "over cap: the next capped flow will evict {victims} entr{} (LRU by mtime)",
                     plural(victims),
                 );
             } else {
-                println!("within cap: 0 size-cap evictions pending");
+                outln!("within cap: 0 size-cap evictions pending");
             }
             Ok(())
         }
@@ -1050,12 +1077,12 @@ fn run_cache_command(rest: &[String]) -> Result<(), Box<dyn Error>> {
         ),
         "clear" => {
             if !std::path::Path::new(&dir).is_dir() {
-                println!("cache directory `{dir}` does not exist; nothing to clear");
+                outln!("cache directory `{dir}` does not exist; nothing to clear");
                 return Ok(());
             }
             let store = cool_core::DiskStore::open(&dir)?;
             let removed = store.clear()?;
-            println!("removed {removed} entr{} from `{dir}`", plural(removed));
+            outln!("removed {removed} entr{} from `{dir}`", plural(removed));
             Ok(())
         }
         other => Err(format!("unknown cache action `{other}`; expected `stats` or `clear`").into()),

@@ -801,3 +801,55 @@ fn serve_connect_round_trip_is_warm_on_the_second_client() {
     let _ = daemon.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_reader_that_closes_stdout_early_ends_cool_quietly() {
+    // `cool flow … | head -1`: after the first line the reader goes
+    // away, and `cool` must end with status 0 and no panic. `watch`
+    // prints its banner before the flow runs and its report after, so
+    // the report always meets the closed pipe.
+    let dir = temp_dir("closed-stdout");
+    let spec = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/specs/incremental16.cool");
+    let out_dir = dir.join("out");
+    let commands: [Vec<&std::ffi::OsStr>; 2] = [
+        vec![
+            "flow".as_ref(),
+            spec.as_os_str(),
+            "--quick".as_ref(),
+            "--trace".as_ref(),
+            "--out".as_ref(),
+            out_dir.as_os_str(),
+        ],
+        vec![
+            "watch".as_ref(),
+            spec.as_os_str(),
+            "--quick".as_ref(),
+            "--max-runs".as_ref(),
+            "1".as_ref(),
+        ],
+    ];
+    for args in commands {
+        let mut child = cool()
+            .args(&args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut first = String::new();
+        {
+            use std::io::BufRead;
+            let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+            stdout.read_line(&mut first).unwrap();
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!first.is_empty(), "{args:?} printed nothing: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.status.success(), "{args:?}: {}: {stderr}", out.status);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -6,8 +6,11 @@
 //! violation, so the GA optimizes exactly what the paper's schedule
 //! executes; the other objectives re-rank the same evaluated schedule
 //! by area or cut communication volume (lexicographically, with
-//! makespan breaking ties). Population evaluation fans out over
-//! [`cool_ir::par::par_map`] workers.
+//! makespan breaking ties). Each distinct chromosome is evaluated once
+//! per run, and the chromosomes a generation brings that the run has not
+//! seen yet fan out over [`cool_ir::par::par_map`] workers.
+
+use std::collections::{HashMap, HashSet};
 
 use cool_cost::{CommScheme, CostModel};
 use cool_ir::rng::StdRng;
@@ -96,12 +99,24 @@ pub fn partition(
         );
     }
 
-    let evaluate_one = |chrom: &Vec<u8>| -> Fitness {
-        let mapping = decode(g, &functions, &resources, chrom);
-        fitness(g, &mapping, cost, options)
+    // Fitness is a function of the chromosome alone, so elites and
+    // repeated children reuse the value their first evaluation found.
+    let mut seen: HashMap<Vec<u8>, Fitness> = HashMap::new();
+    let mut evaluate = |pop: &[Vec<u8>]| -> Vec<Fitness> {
+        let mut queued = HashSet::new();
+        let fresh: Vec<&Vec<u8>> = pop
+            .iter()
+            .filter(|&c| !seen.contains_key(c) && queued.insert(c))
+            .collect();
+        let fits = cool_ir::par::par_map(&fresh, options.jobs, |chrom: &&Vec<u8>| {
+            let mapping = decode(g, &functions, &resources, chrom);
+            fitness(g, &mapping, cost, options)
+        });
+        seen.extend(fresh.into_iter().cloned().zip(fits));
+        pop.iter().map(|c| seen[c]).collect()
     };
 
-    let mut fitnesses: Vec<Fitness> = cool_ir::par::par_map(&pop, options.jobs, evaluate_one);
+    let mut fitnesses: Vec<Fitness> = evaluate(&pop);
     let mut best = best_of(&pop, &fitnesses);
 
     for _gen in 0..options.generations {
@@ -128,7 +143,7 @@ pub fn partition(
             next.push(child);
         }
         pop = next;
-        fitnesses = cool_ir::par::par_map(&pop, options.jobs, evaluate_one);
+        fitnesses = evaluate(&pop);
         let gen_best = best_of(&pop, &fitnesses);
         if gen_best.1 < best.1 {
             best = gen_best;

@@ -11,6 +11,8 @@
 
 use cool_stg::Stg;
 
+use crate::adjacency::Adjacency;
+
 /// A state assignment: one binary code per state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateEncoding {
@@ -111,8 +113,15 @@ type StreamResult = (Vec<u32>, u64, usize);
 
 /// One sequential search stream: `effort × states` random swap mutations
 /// of the stream's best, each followed by a greedy adjacent-swap pass.
+/// Every swap is priced from the transitions at the two swapped states.
 fn search_stream(stg: &Stg, effort: u32, seed: u64) -> StreamResult {
     let n = stg.state_count();
+    let neighbours = Adjacency::new(
+        n,
+        stg.transitions()
+            .iter()
+            .map(|t| (t.from.index(), t.to.index())),
+    );
     let identity: Vec<u32> = (0..n as u32).collect();
     let mut best = identity.clone();
     let mut best_cost = encoding_cost(stg, &best);
@@ -133,16 +142,14 @@ fn search_stream(stg: &Stg, effort: u32, seed: u64) -> StreamResult {
         candidate.copy_from_slice(&best);
         let i = (next() % n.max(1) as u64) as usize;
         let j = (next() % n.max(1) as u64) as usize;
+        let mut cost = recost(best_cost, swap_delta(&neighbours, &candidate, i, j));
         candidate.swap(i, j);
         // Greedy improvement: try swapping each adjacent pair once.
-        let mut cost = encoding_cost(stg, &candidate);
         for k in 0..n.saturating_sub(1) {
-            candidate.swap(k, k + 1);
-            let c2 = encoding_cost(stg, &candidate);
-            if c2 < cost {
-                cost = c2;
-            } else {
+            let delta = swap_delta(&neighbours, &candidate, k, k + 1);
+            if delta < 0 {
                 candidate.swap(k, k + 1);
+                cost = recost(cost, delta);
             }
             tried += 1;
         }
@@ -152,7 +159,31 @@ fn search_stream(stg: &Stg, effort: u32, seed: u64) -> StreamResult {
         }
         tried += 1;
     }
+    debug_assert_eq!(best_cost, encoding_cost(stg, &best));
     (best, best_cost, tried)
+}
+
+/// `cost` changed by `delta`.
+fn recost(cost: u64, delta: i64) -> u64 {
+    cost.checked_add_signed(delta)
+        .expect("a total Hamming distance is never negative")
+}
+
+/// Change in total Hamming distance when states `p` and `q` swap codes.
+/// A transition between `p` and `q` keeps its distance.
+fn swap_delta(neighbours: &Adjacency, codes: &[u32], p: usize, q: usize) -> i64 {
+    let recoded = |state: usize, partner: usize, code: u32| -> i64 {
+        neighbours
+            .of(state)
+            .iter()
+            .filter(|&&o| o != partner)
+            .map(|&o| {
+                i64::from((code ^ codes[o]).count_ones())
+                    - i64::from((codes[state] ^ codes[o]).count_ones())
+            })
+            .sum()
+    };
+    recoded(p, q, codes[q]) + recoded(q, p, codes[p])
 }
 
 #[cfg(test)]
@@ -163,13 +194,88 @@ mod tests {
     use cool_spec::workloads;
 
     fn stg() -> Stg {
-        let g = workloads::equalizer(4);
+        stg_of(&workloads::equalizer(4), Resource::Software(0))
+    }
+
+    /// The minimized STG of `g` with every node mapped to `resource`.
+    fn stg_of(g: &cool_ir::PartitioningGraph, resource: Resource) -> Stg {
         let target = Target::fuzzy_board();
-        let cost = CostModel::new(&g, &target);
-        let mapping = Mapping::uniform(g.node_count(), Resource::Software(0));
-        let sched = cool_schedule::schedule(&g, &mapping, &cost, CommScheme::MemoryMapped).unwrap();
-        let (min, _) = cool_stg::minimize(&cool_stg::generate(&g, &mapping, &sched));
+        let cost = CostModel::new(g, &target);
+        let mapping = Mapping::uniform(g.node_count(), resource);
+        let sched = cool_schedule::schedule(g, &mapping, &cost, CommScheme::MemoryMapped).unwrap();
+        let (min, _) = cool_stg::minimize(&cool_stg::generate(g, &mapping, &sched));
         min
+    }
+
+    /// The search stream as it was before swaps were priced from the
+    /// transitions at the swapped states: every candidate's cost is
+    /// recomputed over all transitions.
+    fn reference_search_stream(stg: &Stg, effort: u32, seed: u64) -> StreamResult {
+        let n = stg.state_count();
+        let identity: Vec<u32> = (0..n as u32).collect();
+        let mut best = identity.clone();
+        let mut best_cost = encoding_cost(stg, &best);
+        let mut tried = 1usize;
+
+        let mut rng_state = seed | 1;
+        let mut next = move || {
+            rng_state ^= rng_state << 13;
+            rng_state ^= rng_state >> 7;
+            rng_state ^= rng_state << 17;
+            rng_state
+        };
+
+        let rounds = effort as usize * n;
+        let mut candidate = identity;
+        for _ in 0..rounds {
+            candidate.copy_from_slice(&best);
+            let i = (next() % n.max(1) as u64) as usize;
+            let j = (next() % n.max(1) as u64) as usize;
+            candidate.swap(i, j);
+            let mut cost = encoding_cost(stg, &candidate);
+            for k in 0..n.saturating_sub(1) {
+                candidate.swap(k, k + 1);
+                let c2 = encoding_cost(stg, &candidate);
+                if c2 < cost {
+                    cost = c2;
+                } else {
+                    candidate.swap(k, k + 1);
+                }
+                tried += 1;
+            }
+            if cost < best_cost {
+                best_cost = cost;
+                best.copy_from_slice(&candidate);
+            }
+            tried += 1;
+        }
+        (best, best_cost, tried)
+    }
+
+    #[test]
+    fn search_stream_matches_the_reference_search() {
+        let stgs = [
+            stg(),
+            stg_of(&workloads::equalizer(4), Resource::Hardware(0)),
+            stg_of(&workloads::fuzzy_controller(), Resource::Software(0)),
+            stg_of(&workloads::fir(6), Resource::Hardware(1)),
+            stg_of(&workloads::dct8(), Resource::Software(0)),
+            stg_of(&workloads::state_machine(6, 2), Resource::Software(0)),
+        ];
+        for (k, s) in stgs.iter().enumerate() {
+            // Efforts from none to the default per-stream effort (40).
+            for effort in [0, 1, 2, 3, 5, 8, 13, 40] {
+                for seed in [0x9e37_79b9_7f4a_7c15, u64::from(effort) * 31 + k as u64] {
+                    assert_eq!(
+                        search_stream(s, effort, seed),
+                        reference_search_stream(s, effort, seed),
+                        "STG {k} ({} states, {} transitions), effort {effort}, seed {seed}",
+                        s.state_count(),
+                        s.transition_count()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! * [`encoding`] — FSM state-assignment search, the logic-synthesis step
 //!   whose runtime dominates the flow as in the paper's measurements.
 
+mod adjacency;
 pub mod encoding;
 pub mod place;
 pub mod vhdl;
