@@ -1,12 +1,23 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the paper-artifact binaries in `src/bin/`, which
+//! regenerate every figure, result and ablation of the paper:
 //!
-//! The `fig*`, `res*` and `abl*` binaries in `src/bin/` regenerate every
-//! figure and result of the paper (see `DESIGN.md` for the index); the
-//! plain `harness = false` benches in `benches/` (built on [`harness`])
-//! measure the scaling behaviour of each engine stage.
-
-pub mod harness;
-pub mod json;
+//! - `fig1_design_flow`: the fuzzy controller through every stage of the flow,
+//!   with wall-clock times;
+//! - `fig2_equalizer_graph`: the equalizer's partitioning graph, MILP colouring
+//!   and schedule;
+//! - `fig3_stg_memory`: the equalizer's minimized STG and transfer-cell
+//!   memory map;
+//! - `fig4_netlist`: the generated netlist's components, nets and VHDL entities;
+//! - `res1_fuzzy_case_study`: the fuzzy controller's spec size, graph and target;
+//! - `res2_partition_sweep`: fuzzy-controller partitions over an FPGA
+//!   area-budget sweep;
+//! - `res3_time_breakdown`: each stage's share of design time (the paper
+//!   reports more than 90 % for hardware synthesis);
+//! - `abl1_partitioners`: exact MILP vs MILP + heuristic vs genetic partitioning;
+//! - `abl2_stg_minimization`: controller size with and without STG minimization;
+//! - `abl3_comm_schemes`: memory-mapped I/O vs direct communication.
+//!
+//! Performance is measured by `perfbench` (see `BENCHMARK.json`), not here.
 
 use cool_cost::CostModel;
 use cool_ir::{Mapping, PartitioningGraph, Resource, Target};

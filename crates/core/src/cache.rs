@@ -457,7 +457,8 @@ impl Inner {
     }
 }
 
-/// Aggregate cache counters, for `--trace` output and the benches.
+/// Aggregate cache counters, for `--trace` output and the paper-artifact
+/// binaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Stage executions skipped because a cached delta was restored
@@ -512,20 +513,6 @@ impl CacheStats {
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         ratio(self.hits, self.hits + self.misses)
-    }
-
-    /// Disk hits as a fraction of all lookups (0 when nothing was looked
-    /// up) — the warm-start-across-processes rate.
-    #[must_use]
-    pub fn disk_hit_rate(&self) -> f64 {
-        ratio(self.disk_hits, self.hits + self.misses)
-    }
-
-    /// Node-tier hits as a fraction of all node-tier lookups (0 when no
-    /// node was looked up).
-    #[must_use]
-    pub fn node_hit_rate(&self) -> f64 {
-        ratio(self.node_hits, self.node_hits + self.node_misses)
     }
 
     /// One-line human-readable summary.
@@ -939,7 +926,6 @@ mod tests {
         assert_eq!(stats.saved, ms(5));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(stats.disk_hits, 0);
-        assert!((stats.disk_hit_rate()).abs() < 1e-12);
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //! from the one slot table in [`cache`]); the [`FlowSession`] builder is
 //! the public entry point over the engine.
 //! [`FlowArtifacts::trace`] holds the per-stage timing journal and
-//! [`FlowArtifacts::timings`] the paper's six-bucket summary,
-//! reproducing the paper's observation that hardware synthesis consumes
-//! the bulk (> 90 %) of the design time.
+//! [`FlowArtifacts::timings`] the paper's six-bucket summary. The paper
+//! reports that hardware synthesis takes more than 90 % of the design
+//! time; `cool_bench`'s `res3_time_breakdown` binary measures that share
+//! for this flow.
 //!
 //! The dominant stages parallelize across [`FlowOptions::jobs`] scoped
 //! worker threads (per-node HLS, STG-minimization refinement rounds,

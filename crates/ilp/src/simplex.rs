@@ -1457,6 +1457,59 @@ mod tests {
     }
 
     #[test]
+    fn warm_child_resolves_in_fewer_pivots_than_cold() {
+        // An 8×8 assignment LP (totally unimodular, so the root is
+        // integral). Forbid one assignment the root uses, then re-solve
+        // that child cold and warm-started from the root basis: the
+        // warm start must repair the basis, never restart cold, and
+        // spend fewer priced pivots than the cold two-phase solve.
+        let n = 8;
+        let mut p = Problem::minimize();
+        let vars: Vec<Vec<_>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| p.add_binary(((i * 31 + j * 17) % 19) as f64 + 1.0))
+                    .collect()
+            })
+            .collect();
+        for (i, row_vars) in vars.iter().enumerate() {
+            let row: Vec<_> = row_vars.iter().map(|&v| (v, 1.0)).collect();
+            p.add_constraint(&row, Cmp::Eq, 1.0);
+            let col: Vec<_> = vars.iter().map(|r| (r[i], 1.0)).collect();
+            p.add_constraint(&col, Cmp::Eq, 1.0);
+        }
+        let opts = LpOptions::default();
+        let mut ws = SimplexWorkspace::new();
+        let root = solve_lp_opts(&p, &[], &mut ws, &opts).unwrap();
+        let root_basis = ws.basis().to_vec();
+        let banned = root
+            .values
+            .iter()
+            .position(|&v| v > 0.5)
+            .expect("an assignment LP uses at least one variable");
+        let child = [(banned, 0.0, 0.0)];
+
+        ws.reset_stats();
+        let cold = solve_lp_opts(&p, &child, &mut ws, &opts).unwrap();
+        let cold_pivots = ws.stats().pivots;
+        ws.reset_stats();
+        let warm = solve_lp_warm(&p, &child, &mut ws, &opts, &root_basis).unwrap();
+        let warm_stats = ws.stats();
+        assert_eq!(
+            (warm_stats.warm_solves, warm_stats.warm_fallbacks),
+            (1, 0),
+            "the root basis must be repairable on a one-bound child: {warm_stats:?}"
+        );
+        assert!(
+            warm_stats.pivots < cold_pivots,
+            "warm start must repair in fewer pivots than a cold restart \
+             ({} vs {cold_pivots})",
+            warm_stats.pivots
+        );
+        assert!((warm.objective - cold.objective).abs() < 1e-9);
+    }
+
+    #[test]
     fn stall_counter_engages_and_releases_bland() {
         // A degenerate cluster of redundant rows: the solve must finish
         // well under the budget, and if the fallback ever engaged it

@@ -6,7 +6,7 @@
 //! (keeping each cluster small enough to remain hardware-assignable), then
 //! solves the cluster-level MILP exactly, and finally expands clusters back
 //! to nodes. Quality degrades gracefully with the cluster budget while
-//! runtime drops dramatically — exactly the trade the benches measure.
+//! runtime drops dramatically — the trade `abl1_partitioners` measures.
 
 use std::collections::BTreeMap;
 
