@@ -57,28 +57,19 @@
 //! `--expect-node-synth-max MAX` turn the node-reuse contract into a
 //! non-zero exit code for CI.
 //!
-//! `cool serve` keeps all of that resident: a [`cool_core::server`]
-//! daemon holding one hot stage cache that every client shares, with
-//! identical in-flight requests coalesced into a single synthesis.
-//! `cool flow <spec> --connect ADDR` and `cool simulate <spec> ...
-//! --connect ADDR` run against the daemon instead of synthesizing
-//! locally; the flow client writes the same output files a local flow
-//! would and reports which flight served it, how many requests
-//! coalesced onto that flight, and how many stages it actually
-//! computed (`0 stage(s) computed` is the warm-cache signature CI
-//! greps for).
-//!
-//! The daemon doubles as a *fleet cache shard*: `--cache-remote ADDR`
-//! on `flow`/`simulate`/`pareto`/`watch` attaches it as a third cache
-//! tier (memory → disk → remote). Lookups that miss both local tiers
-//! fetch the entry bytes from the daemon and re-materialize them into
-//! the local disk tier; computed stages write through, so a second
-//! machine with an empty `.cool-cache/` warm-starts a sweep entirely
-//! from the fleet store. The daemon being unreachable degrades the
-//! cache to local-only (one warning per outage streak) — it never
-//! fails the flow. `cool ping --connect ADDR` is the matching fleet
-//! health check, and `cool cache stats --connect ADDR` asks a daemon
-//! for its resident cache counters.
+//! `cool serve` runs `coold`, a [`cool_core::server`] daemon that keeps
+//! one stage cache resident for other processes; it stores entries and
+//! never runs a flow. `--cache-remote ADDR` on
+//! `flow`/`simulate`/`pareto`/`watch` attaches it as a third cache tier
+//! (memory → disk → remote). Lookups that miss both local tiers fetch
+//! the entry bytes from the daemon and re-materialize them into the
+//! local disk tier; computed stages write through, so a second machine
+//! with an empty `.cool-cache/` warm-starts a flow or sweep entirely
+//! from the daemon. The daemon being unreachable degrades the cache to
+//! local-only (one warning per outage streak) — it never fails the
+//! flow. `cool ping --connect ADDR` times one round trip, and `cool
+//! cache stats --connect ADDR` asks a daemon for its resident cache
+//! counters; no other command takes `--connect`.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -86,13 +77,13 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cool_core::server::{Client, FlowRequest, Server, DEFAULT_ADDR};
+use cool_core::server::{Client, Server, DEFAULT_ADDR};
 use cool_core::{
     ArtifactSlot, FlowArtifacts, FlowOptions, FlowSession, FlowTrace, Partitioner, StageCache,
 };
 use cool_cost::CommScheme;
 use cool_ir::{BudgetConstraint, Objective, PartitioningGraph, Resource, Target};
-use cool_partition::{GaOptions, HeuristicOptions, MilpOptions, Optimality};
+use cool_partition::{GaOptions, HeuristicOptions, MilpOptions, Optimality, PartitionResult};
 
 /// `print!` through [`write_stdout`].
 macro_rules! out {
@@ -148,6 +139,15 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
         return Err(format!("unknown flag `{flag}`\n{}", usage()).into());
     }
     match command.as_str() {
+        "check" | "flow" | "simulate" | "pareto" | "watch" | "serve"
+            if rest.iter().any(|a| a == "--connect") =>
+        {
+            Err(format!(
+                "`cool {command}` does not take --connect (only `ping` and `cache stats` talk \
+                 to a daemon directly); to share a daemon's cache, pass --cache-remote ADDR"
+            )
+            .into())
+        }
         "check" => {
             let spec = read_spec(rest)?;
             let graph = cool_spec::parse(&spec)?;
@@ -174,15 +174,6 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
                         .into(),
                 );
             }
-            if let Some(addr) = flag_value(rest, "--connect") {
-                if targets_flag.is_some() || to_stage_flag.is_some() {
-                    return Err(
-                        "--connect serves single-board full flows only (drop --targets/--to-stage)"
-                            .into(),
-                    );
-                }
-                return run_flow_connected(&addr, spec, &options, &out, rest);
-            }
             if let Some(list) = targets_flag {
                 return run_family_mode(&graph, &options, &list, rest);
             }
@@ -192,7 +183,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
             let (session, cache) = configure_session(&graph, &options, rest)?;
             let art = session.run()?;
             outln!("{}", art.report());
-            warn_on_truncation(art.partition.optimality, art.partition.gap);
+            warn_on_truncation(&art.partition);
             check_expectations(&art.trace, rest)?;
             print_trace(rest, &art.trace, options.jobs, cache.as_ref());
             let dir = PathBuf::from(out);
@@ -242,35 +233,9 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
                 let name = graph.node(id)?.name().to_string();
                 inputs.entry(name).or_insert(0);
             }
-            if let Some(addr) = flag_value(rest, "--connect") {
-                let mut client = connect_client(&addr)?;
-                let r = client.simulate(
-                    FlowRequest {
-                        spec,
-                        target: target_flag(rest)?,
-                        options,
-                    },
-                    inputs.into_iter().collect(),
-                )?;
-                let busy = if r.cycles == 0 {
-                    0.0
-                } else {
-                    r.bus_busy_cycles as f64 / r.cycles as f64
-                };
-                outln!(
-                    "simulated {} cycles ({} bus transfer(s), bus {:.1} % busy)",
-                    r.cycles,
-                    r.bus_transfers,
-                    100.0 * busy
-                );
-                for (name, value) in &r.outputs {
-                    outln!("  {name} = {value}");
-                }
-                return Ok(());
-            }
             let (session, cache) = configure_session(&graph, &options, rest)?;
             let art = session.run()?;
-            warn_on_truncation(art.partition.optimality, art.partition.gap);
+            warn_on_truncation(&art.partition);
             let r = art.simulate(&inputs)?;
             outln!(
                 "simulated {} cycles ({} bus transfer(s), bus {:.1} % busy)",
@@ -327,7 +292,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  cool check    <spec.cool>\n  cool flow     <spec.cool> [--out DIR] [--partitioner milp|heuristic|ga] [--objective makespan|area|comm|blend:T,C,A] [--milp-max-nodes N] [--milp-max-pivots N] [--scheme mmio|direct] [--quick] [--jobs N] [--target BOARD] [--targets BOARD,BOARD,...] [--to-stage cost|partition|schedule|stg|hls|rtl|codegen] [--pin NODE=RES,... ] [--cache|--no-cache] [--cache-dir DIR] [--cache-max-bytes N] [--cache-remote ADDR] [--trace] [--expect-node-disk-hits MIN] [--expect-node-synth-max MAX] [--connect ADDR]\n  cool pareto   <spec.cool> --budgets A..B:STEP|N,N,... [--csv] [same flags as flow, minus --targets]\n  cool watch    <spec.cool> [--poll-ms N] [--max-runs N] [same flags as flow, minus --out]\n  cool simulate <spec.cool> [name=value ...] [same flags as flow]\n  cool serve    [--addr ADDR] [--cache-dir DIR] [--cache-max-bytes N]\n  cool ping     [--connect ADDR]\n  cool cache    stats|clear [--cache-dir DIR] [--cache-max-bytes N] [--connect ADDR]\nboards: fuzzy, minimal; cap FPGA budgets with BOARD@CLBS (e.g. fuzzy@96)\npins: NODE=hw0|hw1|sw0|..., or *=RES for every function node (later entries override)\npareto: epsilon-constraint sweep over FPGA CLB budgets (--budgets 16..128:8), one shared cache, cost estimated once\nserve: `cool serve` starts the resident daemon (default addr 127.0.0.1:2665); `--connect ADDR` makes flow/simulate clients of it\nfleet: `--cache-remote ADDR` adds a daemon as a third cache tier (memory → disk → remote) on flow/simulate/pareto/watch; `cool ping --connect ADDR` measures the round-trip"
+    "usage:\n  cool check    <spec.cool>\n  cool flow     <spec.cool> [--out DIR] [--partitioner milp|heuristic|ga] [--objective makespan|area|comm|blend:T,C,A] [--milp-max-nodes N] [--milp-max-pivots N] [--scheme mmio|direct] [--quick] [--jobs N] [--target BOARD] [--targets BOARD,BOARD,...] [--to-stage cost|partition|schedule|stg|hls|rtl|codegen] [--pin NODE=RES,... ] [--cache|--no-cache] [--cache-dir DIR] [--cache-max-bytes N] [--cache-remote ADDR] [--trace] [--expect-node-disk-hits MIN] [--expect-node-synth-max MAX]\n  cool pareto   <spec.cool> --budgets A..B:STEP|N,N,... [--csv] [same flags as flow, minus --targets]\n  cool watch    <spec.cool> [--poll-ms N] [--max-runs N] [same flags as flow, minus --out]\n  cool simulate <spec.cool> [name=value ...] [same flags as flow]\n  cool serve    [--addr ADDR] [--cache-dir DIR] [--cache-max-bytes N]\n  cool ping     [--connect ADDR]\n  cool cache    stats|clear [--cache-dir DIR] [--cache-max-bytes N] [--connect ADDR]\nboards: fuzzy, minimal; cap FPGA budgets with BOARD@CLBS (e.g. fuzzy@96)\npins: NODE=hw0|hw1|sw0|..., or *=RES for every function node (later entries override)\npareto: epsilon-constraint sweep over FPGA CLB budgets (--budgets 16..128:8), one shared cache, cost estimated once\nserve: `cool serve` starts the cache daemon (default addr 127.0.0.1:2665); it stores cache entries and never runs a flow\nremote cache: `--cache-remote ADDR` adds a daemon as a third cache tier (memory → disk → remote) on flow/simulate/pareto/watch; `cool ping --connect ADDR` measures the round-trip"
 }
 
 /// Default persistent cache directory, relative to the working directory.
@@ -563,7 +528,7 @@ fn run_family_mode(
     let family = with_cache(session, cache.as_ref()).run_family()?;
     out!("{}", family.report());
     for art in &family {
-        warn_on_truncation(art.partition.optimality, art.partition.gap);
+        warn_on_truncation(&art.partition);
     }
     if rest.iter().any(|a| a == "--trace") {
         for (i, art) in family.iter().enumerate() {
@@ -874,17 +839,16 @@ fn watch_once(
     Ok(art)
 }
 
-/// `cool serve`: run the resident daemon. One stage cache — in-memory
-/// by default, plus the persistent disk tier under `--cache-dir` — is
-/// shared by every client, and identical in-flight requests coalesce
-/// into a single synthesis. The daemon runs until a client sends a
-/// shutdown request or the process is signalled; disk-tier writes are
-/// atomic (write + rename), so a SIGTERM mid-flow never leaves a
-/// corrupt cache entry behind.
+/// `cool serve`: run the cache daemon. One stage cache — in-memory by
+/// default, plus the persistent disk tier under `--cache-dir` — is
+/// shared by every worker that names it with `--cache-remote`. The
+/// daemon runs until the process is signalled; disk-tier writes are
+/// atomic (write + rename), so a SIGTERM mid-put never leaves a corrupt
+/// cache entry behind.
 fn run_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
     let addr = flag_value(rest, "--addr").unwrap_or_else(|| DEFAULT_ADDR.to_string());
     // Like `watch`, the cache defaults *on*: a daemon without one would
-    // just be a slower way to fork `cool flow`.
+    // store nothing.
     let cache = if rest.iter().any(|a| a == "--no-cache") {
         StageCache::new(0)
     } else {
@@ -894,7 +858,7 @@ fn run_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
     let server =
         Server::bind(&addr, cache).map_err(|e| format!("cannot start coold on {addr}: {e}"))?;
     outln!(
-        "coold listening on {} (cache {}) — point clients at it with --connect",
+        "coold listening on {} (cache {}) — point clients at it with --cache-remote",
         server.addr(),
         match cache_dir_flag(rest) {
             Some(dir) => format!("memory+disk `{dir}`"),
@@ -925,54 +889,6 @@ fn connect_client(addr: &str) -> Result<Client, Box<dyn Error>> {
     Client::connect(addr).map_err(|e| {
         format!("cannot reach coold at {addr} ({e}); start it with `cool serve`").into()
     })
-}
-
-/// `cool flow <spec> --connect ADDR`: run the flow on the daemon
-/// instead of synthesizing locally. Prints the same report and writes
-/// the same output files as a local flow, plus one line of coalescing
-/// observability (flight id, requests served by that flight, stages it
-/// actually computed — `0 stage(s) computed` is a fully warm serve).
-fn run_flow_connected(
-    addr: &str,
-    spec: String,
-    options: &FlowOptions,
-    out: &str,
-    rest: &[String],
-) -> Result<(), Box<dyn Error>> {
-    let mut client = connect_client(addr)?;
-    let resp = client.flow(FlowRequest {
-        spec,
-        target: target_flag(rest)?,
-        options: options.clone(),
-    })?;
-    outln!("{}", resp.report);
-    warn_on_truncation(resp.optimality, resp.gap);
-    check_expectations(&resp.trace, rest)?;
-    outln!(
-        "served by coold at {addr}: flight #{}, {} request(s) on the flight, {} stage(s) computed",
-        resp.flight,
-        resp.joined,
-        resp.stages_computed(),
-    );
-    if rest.iter().any(|a| a == "--trace") {
-        out!("{}", resp.trace.to_table());
-    }
-    let dir = PathBuf::from(out);
-    fs::create_dir_all(&dir)?;
-    for (name, source) in &resp.vhdl {
-        fs::write(dir.join(name), source)?;
-    }
-    fs::write(dir.join("cool_memory_map.h"), &resp.memory_header)?;
-    for (name, source) in &resp.c_programs {
-        fs::write(dir.join(name), source)?;
-    }
-    outln!(
-        "wrote {} VHDL unit(s), {} C unit(s) and the memory map to {}",
-        resp.vhdl.len(),
-        resp.c_programs.len(),
-        dir.display()
-    );
-    Ok(())
 }
 
 /// The disk tier's byte-size cap from `--cache-max-bytes N` (`0` =
@@ -1091,12 +1007,10 @@ fn run_cache_command(rest: &[String]) -> Result<(), Box<dyn Error>> {
 
 /// Surface a truncated MILP solve on stderr: the report already labels
 /// the partition "node-limit truncated", but a user piping stdout into a
-/// file must not mistake the incumbent for the proven optimum. Takes the
-/// optimality/gap pair (rather than full artifacts) so served responses
-/// get the same warning.
-fn warn_on_truncation(optimality: Optimality, gap: Option<f64>) {
-    if optimality == Optimality::LimitReached {
-        let gap = match gap {
+/// file must not mistake the incumbent for the proven optimum.
+fn warn_on_truncation(partition: &PartitionResult) {
+    if partition.optimality == Optimality::LimitReached {
+        let gap = match partition.gap {
             Some(gap) => format!(" — within {:.1} % of the solver optimum", gap * 100.0),
             None => String::new(),
         };

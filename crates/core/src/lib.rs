@@ -118,10 +118,7 @@ pub use disk::{DiskStore, KindCounts};
 pub use engine::Engine;
 pub use error::FlowError;
 pub use remote::{RemoteCounters, RemoteStore};
-pub use server::{
-    CacheStatsReply, Client, FlowRequest, FlowResponse, Request, Response, ServeError, Server,
-    ServerHandle, SimResponse,
-};
+pub use server::{CacheStatsReply, Client, Request, Response, ServeError, Server, ServerHandle};
 pub use session::{FamilyArtifacts, FlowSession, ParetoFront, ParetoPoint, PartialArtifacts};
 pub use stage::{FlowContext, Stage};
 pub use table::{Align, Col, TextTable};
@@ -129,7 +126,6 @@ pub use timing::{CacheOutcome, FlowTrace, NodeDelta, StageRecord, StageTimings};
 
 use cool_cost::CommScheme;
 use cool_hls::HlsOptions;
-use cool_ir::codec::{Codec, CodecError, Decoder, Encoder};
 use cool_ir::hash::{ContentHash, ContentHasher};
 use cool_ir::{Mapping, Objective, PartitioningGraph, Resource};
 use cool_partition::{GaOptions, HeuristicOptions, MilpOptions};
@@ -281,86 +277,6 @@ impl ContentHash for FlowOptions {
         h.write_u32(self.encoding_effort);
         h.write_u32(self.placement_effort);
         h.write_bool(self.packed_memory);
-    }
-}
-
-impl Codec for Partitioner {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Partitioner::Milp(o) => {
-                e.put_u8(0);
-                o.encode(e);
-            }
-            Partitioner::Heuristic(o) => {
-                e.put_u8(1);
-                o.encode(e);
-            }
-            Partitioner::Genetic(o) => {
-                e.put_u8(2);
-                o.encode(e);
-            }
-            Partitioner::Fixed(mapping) => {
-                e.put_u8(3);
-                mapping.encode(e);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match d.take_u8()? {
-            0 => Ok(Partitioner::Milp(MilpOptions::decode(d)?)),
-            1 => Ok(Partitioner::Heuristic(HeuristicOptions::decode(d)?)),
-            2 => Ok(Partitioner::Genetic(GaOptions::decode(d)?)),
-            3 => Ok(Partitioner::Fixed(Mapping::decode(d)?)),
-            tag => Err(CodecError::InvalidTag {
-                type_name: "Partitioner",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Codec for FlowOptions {
-    /// The wire encoding carries every knob, `jobs` included (unlike the
-    /// content hash): a served request must run with exactly the options
-    /// the client asked for.
-    fn encode(&self, e: &mut Encoder) {
-        self.partitioner.encode(e);
-        self.scheme.encode(e);
-        match &self.objective {
-            None => e.put_u8(0),
-            Some(o) => {
-                e.put_u8(1);
-                o.encode(e);
-            }
-        }
-        self.hls.encode(e);
-        e.put_u32(self.encoding_effort);
-        e.put_u32(self.placement_effort);
-        e.put_bool(self.packed_memory);
-        e.put_usize(self.jobs);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(FlowOptions {
-            partitioner: Partitioner::decode(d)?,
-            scheme: CommScheme::decode(d)?,
-            objective: match d.take_u8()? {
-                0 => None,
-                1 => Some(Objective::decode(d)?),
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        type_name: "FlowOptions.objective",
-                        tag,
-                    })
-                }
-            },
-            hls: HlsOptions::decode(d)?,
-            encoding_effort: d.take_u32()?,
-            placement_effort: d.take_u32()?,
-            packed_memory: d.take_bool()?,
-            jobs: d.take_usize()?,
-        })
     }
 }
 

@@ -9,8 +9,6 @@
 
 use std::time::Duration;
 
-use cool_ir::codec::{Codec, CodecError, Decoder, Encoder};
-
 /// How the stage cache treated one stage execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CacheOutcome {
@@ -347,126 +345,6 @@ impl FlowTrace {
     }
 }
 
-/// [`StageRecord::name`] is `&'static str` — stage names come from
-/// [`crate::stage::Stage::name`] implementations compiled into the
-/// binary — so the wire decoder has to map the received string back onto
-/// a static one. The standard engine's stages are the only names that
-/// travel (the daemon serves standard flows); anything else is malformed
-/// input.
-fn static_stage_name(name: &str) -> Option<&'static str> {
-    [
-        "spec",
-        "cost",
-        "partition",
-        "schedule",
-        "stg",
-        "hls",
-        "rtl",
-        "codegen",
-        "sim-prep",
-    ]
-    .into_iter()
-    .find(|&known| known == name)
-}
-
-impl Codec for CacheOutcome {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            CacheOutcome::Uncached => e.put_u8(0),
-            CacheOutcome::Seeded => e.put_u8(1),
-            CacheOutcome::Miss => e.put_u8(2),
-            CacheOutcome::Hit { saved } => {
-                e.put_u8(3);
-                saved.encode(e);
-            }
-            CacheOutcome::DiskHit { saved } => {
-                e.put_u8(4);
-                saved.encode(e);
-            }
-            CacheOutcome::RemoteHit { saved } => {
-                e.put_u8(5);
-                saved.encode(e);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match d.take_u8()? {
-            0 => Ok(CacheOutcome::Uncached),
-            1 => Ok(CacheOutcome::Seeded),
-            2 => Ok(CacheOutcome::Miss),
-            3 => Ok(CacheOutcome::Hit {
-                saved: Duration::decode(d)?,
-            }),
-            4 => Ok(CacheOutcome::DiskHit {
-                saved: Duration::decode(d)?,
-            }),
-            5 => Ok(CacheOutcome::RemoteHit {
-                saved: Duration::decode(d)?,
-            }),
-            tag => Err(CodecError::InvalidTag {
-                type_name: "CacheOutcome",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Codec for NodeDelta {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_usize(self.reused);
-        e.put_usize(self.reused_disk);
-        e.put_usize(self.computed);
-        self.computed_names.encode(e);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(NodeDelta {
-            reused: d.take_usize()?,
-            reused_disk: d.take_usize()?,
-            computed: d.take_usize()?,
-            computed_names: Vec::decode(d)?,
-        })
-    }
-}
-
-impl Codec for StageRecord {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_str(self.name);
-        self.duration.encode(e);
-        self.cache.encode(e);
-        self.nodes.encode(e);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let name = d.take_str()?;
-        let name = static_stage_name(&name).ok_or(CodecError::InvalidTag {
-            type_name: "StageRecord stage name",
-            tag: u8::MAX,
-        })?;
-        Ok(StageRecord {
-            name,
-            duration: Duration::decode(d)?,
-            cache: CacheOutcome::decode(d)?,
-            nodes: Option::decode(d)?,
-        })
-    }
-}
-
-impl Codec for FlowTrace {
-    fn encode(&self, e: &mut Encoder) {
-        self.records.encode(e);
-        self.warnings.encode(e);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(FlowTrace {
-            records: Vec::decode(d)?,
-            warnings: Vec::decode(d)?,
-        })
-    }
-}
-
 /// Wall-clock time per paper flow stage (the six buckets of Figure 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
@@ -616,55 +494,6 @@ mod tests {
         assert!(table.contains("total"));
         let s = StageTimings::from_trace(&t);
         assert!(s.to_table().contains("hardware synthesis"));
-    }
-
-    #[test]
-    fn trace_codec_roundtrips_and_rejects_foreign_names() {
-        let mut t = FlowTrace::new();
-        t.push("spec", ms(1), CacheOutcome::Seeded, None);
-        t.push("cost", ms(2), CacheOutcome::Miss, None);
-        t.push(
-            "partition",
-            ms(3),
-            CacheOutcome::Hit { saved: ms(30) },
-            None,
-        );
-        t.push(
-            "hls",
-            ms(4),
-            CacheOutcome::DiskHit { saved: ms(40) },
-            Some(NodeDelta {
-                reused: 2,
-                reused_disk: 1,
-                computed: 1,
-                computed_names: vec!["h1".to_string()],
-            }),
-        );
-        t.push(
-            "rtl",
-            ms(5),
-            CacheOutcome::RemoteHit { saved: ms(50) },
-            None,
-        );
-        t.push_warning("partition truncated");
-        let bytes = cool_ir::codec::to_bytes(&t);
-        let back: FlowTrace = cool_ir::codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(cool_ir::codec::to_bytes(&back), bytes, "canonical");
-
-        // A stage name outside the standard engine is malformed input,
-        // not a leaked allocation of a fake 'static str.
-        let mut e = Encoder::new();
-        e.put_usize(1);
-        e.put_str("lint");
-        Duration::ZERO.encode(&mut e);
-        CacheOutcome::Uncached.encode(&mut e);
-        Option::<NodeDelta>::None.encode(&mut e);
-        e.put_usize(0);
-        assert!(matches!(
-            cool_ir::codec::from_bytes::<FlowTrace>(&e.into_bytes()),
-            Err(CodecError::InvalidTag { .. })
-        ));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! malformed specifications with a diagnostic and a failing exit code —
 //! never a panic — and accept well-formed ones; `cool watch` must re-run
 //! on edits and honour `--max-runs`; the `--expect-node-*` flags must
-//! turn the warm-edit reuse contract into exit codes.
+//! turn the warm-edit reuse contract into exit codes; two workers must
+//! share one `cool serve` daemon's cache through `--cache-remote`.
 
 use std::io::Write;
 use std::process::Command;
@@ -710,9 +711,11 @@ fn watch_reports_an_unreadable_spec_and_keeps_polling() {
 #[test]
 fn serve_connect_round_trip_is_warm_on_the_second_client() {
     // End-to-end through the CLI: `cool serve` on an ephemeral port,
-    // then two `cool flow --connect` clients for the same spec. The
-    // first synthesizes; the second must be served entirely from the
-    // daemon's hot cache (`0 stage(s) computed`) with identical files.
+    // then two `cool flow --cache-remote` workers for the same spec,
+    // each with its own empty cache directory. The first computes every
+    // stage and writes it through to the daemon; the second computes
+    // nothing, every hit coming from the daemon, and both write the
+    // same files.
     let dir = temp_dir("serve");
     let g = cool_spec::workloads::incremental(2, 19);
     let spec = write_spec(&dir, "incr.cool", &cool_spec::print_spec(&g));
@@ -747,38 +750,45 @@ fn serve_connect_round_trip_is_warm_on_the_second_client() {
         .unwrap_or_else(|| panic!("no address in banner: {banner}"))
         .to_string();
 
-    let run_client = |out_dir: &std::path::Path| {
+    let run_worker = |name: &str| {
         let out = cool()
             .arg("flow")
             .arg(&spec)
             .args(DETERMINISTIC)
-            .args(["--connect", &addr, "--out"])
-            .arg(out_dir)
+            .args(["--trace", "--cache-remote", &addr, "--cache-dir"])
+            .arg(dir.join(format!("{name}-cache")))
+            .arg("--out")
+            .arg(dir.join(name))
             .output()
             .unwrap();
         assert!(
             out.status.success(),
-            "client failed: {}",
+            "worker failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let first = run_client(&dir.join("out1"));
+    let first = run_worker("out1");
     assert!(
-        first.contains("served by coold"),
-        "first client output: {first}"
+        first.contains("remote tier: 0 hit(s)"),
+        "the first worker must find the daemon empty: {first}"
     );
+    let second = run_worker("out2");
+    let warm = second
+        .lines()
+        .find(|l| l.contains("/ 0 miss(es)"))
+        .unwrap_or_else(|| panic!("the second worker must compute nothing: {second}"));
+    let hits: usize = warm
+        .strip_prefix("stage cache: ")
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no hit count in: {warm}"));
     assert!(
-        !first.contains(" 0 stage(s) computed"),
-        "the cold request must synthesize: {first}"
-    );
-    let second = run_client(&dir.join("out2"));
-    assert!(
-        second.contains(", 0 stage(s) computed"),
-        "the repeat request must be fully warm: {second}"
+        hits > 0 && warm.contains(&format!("(0 from disk, {hits} remote)")),
+        "every hit of the second worker must be remote: {warm}"
     );
 
-    // Both clients wrote byte-identical files.
+    // Both workers wrote byte-identical files.
     let read_all = |out_dir: &std::path::Path| {
         let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(out_dir)
             .unwrap()
@@ -795,10 +805,42 @@ fn serve_connect_round_trip_is_warm_on_the_second_client() {
     };
     let a = read_all(&dir.join("out1"));
     assert!(!a.is_empty(), "no files written");
-    assert_eq!(a, read_all(&dir.join("out2")), "served bytes must agree");
+    assert_eq!(a, read_all(&dir.join("out2")), "the workers' files differ");
 
     let _ = daemon.kill();
     let _ = daemon.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn connect_is_rejected_where_it_does_nothing() {
+    // Only `ping` and `cache stats` talk to a daemon directly. Every
+    // other command must refuse `--connect` and name `--cache-remote`,
+    // rather than run locally as if the flag were not there.
+    let dir = temp_dir("connect");
+    let spec = write_spec(
+        &dir,
+        "adder.cool",
+        "design adder; input a : 16; input b : 16; node s = add; output y : 16;\n\
+         connect a -> s.0; connect b -> s.1; connect s -> y;\n",
+    );
+    let spec = spec.to_str().unwrap();
+    for args in [
+        vec!["flow", spec, "--quick"],
+        vec!["simulate", spec, "a=1", "--quick"],
+        vec!["pareto", spec, "--budgets", "16,32", "--quick"],
+        vec!["watch", spec, "--quick", "--max-runs", "1"],
+    ] {
+        let out = cool()
+            .args(&args)
+            .args(["--connect", "127.0.0.1:1"])
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains("--cache-remote ADDR"), "{args:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

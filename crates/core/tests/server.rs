@@ -1,18 +1,18 @@
 //! The `coold` daemon battery.
 //!
-//! Four contracts:
+//! Three contracts:
 //!
-//! * **Coalescing** — N concurrent clients asking for the same
-//!   spec/target/options cost exactly one synthesis; every one of them
-//!   receives byte-identical artifacts.
-//! * **Independence** — distinct specs in flight at once do not share a
-//!   flight and each synthesizes.
-//! * **Byte identity** — a served flow equals a standalone
-//!   [`FlowSession::run`] byte for byte (VHDL, C, memory header,
-//!   report), warm or cold.
+//! * **Byte identity** — an entry put into the daemon reads back byte
+//!   for byte, under concurrent puts and gets of shared and distinct
+//!   keys, for stage and node entries alike.
+//! * **Validation** — corrupt, truncated and version-skewed puts are
+//!   rejected and never stored; a daemon's cache cannot chain to another
+//!   daemon.
 //! * **Robustness** — malformed frames and undecodable requests are
-//!   rejected before they reach the engine, and the shared cache keeps
-//!   serving correct bytes afterwards.
+//!   rejected before they reach the store, a request kind the server
+//!   does not know (including the retired flow, simulate and shutdown
+//!   tags) gets an error and keeps its connection, and an idle
+//!   connection is dropped without stopping the daemon.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -22,13 +22,9 @@ use std::time::Duration;
 
 use cool_core::cache::{Artifacts, Entry};
 use cool_core::disk::{encode_entry, encode_entry_with_version, FORMAT_VERSION};
-use cool_core::server::{Client, FlowRequest, Request, Response, ServeError, Server, ServerHandle};
-use cool_core::{
-    FlowArtifacts, FlowOptions, FlowResponse, FlowSession, NodeArtifact, RemoteStore, StageCache,
-};
-use cool_ir::codec::{read_frame, to_bytes, write_frame};
-use cool_ir::Target;
-use cool_spec::{print_spec, workloads};
+use cool_core::server::{Client, Request, Response, ServeError, Server, ServerHandle};
+use cool_core::{NodeArtifact, RemoteStore, StageCache};
+use cool_ir::codec::{from_bytes, read_frame, to_bytes, write_frame};
 
 /// Bind a daemon on an ephemeral port, run it on a background thread,
 /// and hand back its observability handle plus the join handle.
@@ -39,212 +35,36 @@ fn spawn_server(cache: StageCache) -> (ServerHandle, thread::JoinHandle<()>) {
     (handle, join)
 }
 
-fn request_for(spec: &str) -> FlowRequest {
-    FlowRequest {
-        spec: spec.to_string(),
-        target: Target::fuzzy_board(),
-        options: FlowOptions::quick(),
+/// The key the robustness tests seed the store under.
+const SEEDED_KEY: u128 = 0x5eed;
+
+/// Put one stage entry under [`SEEDED_KEY`], so a poisoned or dropped
+/// store would be visible; returns the entry's bytes.
+fn seed(client: &mut Client) -> Vec<u8> {
+    let entry = stage_entry_bytes(5);
+    assert!(client
+        .cache_put(SEEDED_KEY, entry.clone())
+        .expect("seed put"));
+    entry
+}
+
+/// Read one reply frame and decode it as an error message.
+fn error_reply(stream: &mut TcpStream) -> String {
+    let payload = read_frame(stream)
+        .expect("error reply frame")
+        .expect("server replies before closing");
+    match from_bytes::<Response>(&payload).expect("reply decodes") {
+        Response::Error(msg) => msg,
+        other => panic!("expected an error response, got {other:?}"),
     }
-}
-
-/// The standalone run a served response must match byte for byte.
-fn local_run(spec: &str) -> FlowArtifacts {
-    let graph = cool_spec::parse(spec).expect("spec parses");
-    FlowSession::new(&graph)
-        .target(Target::fuzzy_board())
-        .options(FlowOptions::quick())
-        .run()
-        .expect("local flow")
-}
-
-fn assert_matches_local(resp: &FlowResponse, art: &FlowArtifacts) {
-    assert_eq!(resp.vhdl, art.vhdl, "served VHDL differs from local run");
-    let local_c: Vec<(String, String)> = art
-        .c_programs
-        .iter()
-        .map(|p| (p.file_name.clone(), p.source.clone()))
-        .collect();
-    assert_eq!(resp.c_programs, local_c, "served C differs from local run");
-    assert_eq!(
-        resp.memory_header,
-        cool_codegen::emit_memory_header(&art.graph, &art.memory_map),
-        "served memory header differs from local run"
-    );
-    // The report's trailing timing table is wall-clock; everything
-    // before it is a pure function of the artifacts.
-    let deterministic = |report: &str| {
-        report
-            .split("timing breakdown:")
-            .next()
-            .unwrap()
-            .to_string()
-    };
-    assert_eq!(
-        deterministic(&resp.report),
-        deterministic(&art.report()),
-        "served report differs"
-    );
-    assert_eq!(resp.optimality, art.partition.optimality);
-    assert_eq!(resp.gap, art.partition.gap);
-}
-
-#[test]
-fn concurrent_identical_requests_synthesize_once() {
-    let (handle, join) = spawn_server(StageCache::default());
-    let spec = print_spec(&workloads::equalizer(2));
-
-    const CLIENTS: usize = 4;
-    let barrier = Arc::new(Barrier::new(CLIENTS));
-    let addr = handle.addr();
-    let responses: Vec<FlowResponse> = (0..CLIENTS)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            let spec = spec.clone();
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                barrier.wait();
-                client.flow(request_for(&spec)).expect("served flow")
-            })
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .collect();
-
-    // The herd cost exactly one synthesis, however the requests landed.
-    assert_eq!(handle.syntheses(), 1, "identical requests must coalesce");
-
-    // Every response carries the same bytes, and they match a local run.
-    let art = local_run(&spec);
-    for resp in &responses {
-        assert_matches_local(resp, &art);
-    }
-
-    // Coalescing is visible in the responses: requests that shared a
-    // flight got the *same* response (same flight id, same joined count,
-    // same trace), and the flight that did the work computed stages.
-    let computing: Vec<&FlowResponse> = responses
-        .iter()
-        .filter(|r| r.stages_computed() > 0)
-        .collect();
-    assert!(
-        !computing.is_empty(),
-        "some flight must have computed the stages"
-    );
-    let leader_flight = computing[0].flight;
-    for resp in &computing {
-        assert_eq!(
-            resp.flight, leader_flight,
-            "only one flight may have computed stages"
-        );
-    }
-    let on_leader_flight = responses
-        .iter()
-        .filter(|r| r.flight == leader_flight)
-        .count() as u64;
-    assert!(
-        computing[0].joined >= on_leader_flight,
-        "the flight's joined count ({}) must cover every request it served ({})",
-        computing[0].joined,
-        on_leader_flight,
-    );
-
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-#[test]
-fn distinct_specs_synthesize_independently() {
-    let (handle, join) = spawn_server(StageCache::default());
-    let spec_a = print_spec(&workloads::equalizer(2));
-    let spec_b = print_spec(&workloads::fir(4));
-
-    let addr = handle.addr();
-    let threads: Vec<_> = [spec_a.clone(), spec_b.clone()]
-        .into_iter()
-        .map(|spec| {
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                client.flow(request_for(&spec)).expect("served flow")
-            })
-        })
-        .collect();
-    let responses: Vec<FlowResponse> = threads
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .collect();
-
-    assert_eq!(handle.syntheses(), 2, "different specs must not coalesce");
-    assert_matches_local(&responses[0], &local_run(&spec_a));
-    assert_matches_local(&responses[1], &local_run(&spec_b));
-    assert_ne!(
-        responses[0].vhdl, responses[1].vhdl,
-        "the two designs are genuinely different"
-    );
-
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-#[test]
-fn warm_repeat_requests_compute_zero_stages() {
-    let (handle, join) = spawn_server(StageCache::default());
-    let spec = print_spec(&workloads::equalizer(2));
-
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let cold = client.flow(request_for(&spec)).expect("cold flow");
-    assert!(cold.stages_computed() > 0, "first request must synthesize");
-
-    // Same connection (pipelined) and a fresh connection both serve the
-    // repeat entirely from the hot cache.
-    let warm = client.flow(request_for(&spec)).expect("warm flow");
-    let mut other = Client::connect(handle.addr()).expect("connect");
-    let warm2 = other.flow(request_for(&spec)).expect("warm flow");
-    for resp in [&warm, &warm2] {
-        assert_eq!(resp.stages_computed(), 0, "warm serve must compute nothing");
-        assert_eq!(resp.vhdl, cold.vhdl);
-        assert_eq!(resp.c_programs, cold.c_programs);
-        assert_eq!(resp.memory_header, cold.memory_header);
-    }
-    assert_eq!(handle.syntheses(), 1, "warm serves are not syntheses");
-
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-#[test]
-fn bad_specs_and_flow_errors_come_back_as_server_errors() {
-    let (handle, join) = spawn_server(StageCache::default());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-
-    let err = client
-        .flow(request_for("design broken { this is not a spec"))
-        .expect_err("a bad spec must not serve");
-    match err {
-        ServeError::Server(msg) => assert!(msg.contains("spec error"), "got: {msg}"),
-        other => panic!("expected a server error, got {other}"),
-    }
-    assert_eq!(handle.syntheses(), 0);
-
-    // The connection survives a request-level error: the same client can
-    // still ping and run a real flow.
-    client.ping().expect("ping after error");
-    let spec = print_spec(&workloads::equalizer(2));
-    let resp = client.flow(request_for(&spec)).expect("flow after error");
-    assert_matches_local(&resp, &local_run(&spec));
-
-    handle.shutdown();
-    join.join().expect("server thread");
 }
 
 #[test]
 fn malformed_frames_are_rejected_without_poisoning_the_cache() {
     let (handle, join) = spawn_server(StageCache::default());
-    let spec = print_spec(&workloads::equalizer(2));
-
-    // Seed the cache with one good flow so poisoning would be visible.
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let before = client.flow(request_for(&spec)).expect("seed flow");
+    let seeded = seed(&mut client);
+    let before = client.cache_stats().expect("stats");
 
     // Raw garbage where a frame header belongs: the server answers with
     // an error frame (or just drops us) and closes the connection.
@@ -254,7 +74,7 @@ fn malformed_frames_are_rejected_without_poisoning_the_cache() {
     // A dropped connection (Ok(None)/Err) is also an acceptable
     // rejection; an error frame must decode and say what happened.
     if let Ok(Some(payload)) = read_frame(&mut raw) {
-        match cool_ir::codec::from_bytes::<Response>(&payload) {
+        match from_bytes::<Response>(&payload) {
             Ok(Response::Error(msg)) => assert!(msg.contains("malformed"), "got: {msg}"),
             other => panic!("expected an error response, got {other:?}"),
         }
@@ -263,35 +83,31 @@ fn malformed_frames_are_rejected_without_poisoning_the_cache() {
     let _ = raw.read_to_end(&mut rest); // the server must have closed
 
     // A well-framed payload that decodes as a known request kind but
-    // runs out of bytes (a truncated Flow body): rejected the same way.
+    // runs out of bytes (a `CacheGet` without its key): rejected the
+    // same way.
     let mut framed = TcpStream::connect(handle.addr()).expect("connect framed");
-    write_frame(&mut framed, &[0x00]).expect("write frame");
-    let payload = read_frame(&mut framed)
-        .expect("error reply frame")
-        .expect("server replies before closing");
-    match cool_ir::codec::from_bytes::<Response>(&payload).expect("reply decodes") {
-        Response::Error(msg) => assert!(msg.contains("malformed request"), "got: {msg}"),
-        other => panic!("expected an error response, got {other:?}"),
-    }
+    write_frame(&mut framed, &[4]).expect("write frame");
+    let msg = error_reply(&mut framed);
+    assert!(msg.contains("malformed request"), "got: {msg}");
 
-    // A truncated frame: half a valid request, then a hangup.
-    let good = to_bytes(&Request::Flow(request_for(&spec)));
+    // A truncated frame: half a valid put, then a hangup.
+    let put = to_bytes(&Request::CachePut(0xbad, stage_entry_bytes(6)));
     let mut truncated = TcpStream::connect(handle.addr()).expect("connect truncated");
     let mut full = Vec::new();
-    write_frame(&mut full, &good).expect("encode");
+    write_frame(&mut full, &put).expect("encode");
     truncated
         .write_all(&full[..full.len() / 2])
         .expect("write half");
     drop(truncated);
 
-    // None of that reached the engine or disturbed the cache: a fresh
-    // client still gets the seeded bytes, fully warm.
-    let mut after_client = Client::connect(handle.addr()).expect("connect");
-    let after = after_client.flow(request_for(&spec)).expect("flow");
-    assert_eq!(after.vhdl, before.vhdl);
-    assert_eq!(after.c_programs, before.c_programs);
-    assert_eq!(after.stages_computed(), 0, "cache must still be warm");
-    assert_eq!(handle.syntheses(), 1, "garbage must never trigger work");
+    // None of that reached the store: a fresh client still reads the
+    // seeded bytes, and no put was accepted or rejected.
+    let mut after = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(after.cache_get(SEEDED_KEY).expect("get"), Some(seeded));
+    let stats = after.cache_stats().expect("stats");
+    assert_eq!(stats.puts_accepted, before.puts_accepted, "{stats:?}");
+    assert_eq!(stats.puts_rejected, 0, "{stats:?}");
+    assert_eq!(stats.entries, before.entries, "{stats:?}");
 
     handle.shutdown();
     join.join().expect("server thread");
@@ -300,26 +116,20 @@ fn malformed_frames_are_rejected_without_poisoning_the_cache() {
 #[test]
 fn unknown_request_kinds_get_an_error_frame_and_the_connection_survives() {
     let (handle, join) = spawn_server(StageCache::default());
-    let spec = print_spec(&workloads::equalizer(2));
+    let seeded = seed(&mut Client::connect(handle.addr()).expect("connect"));
 
-    // Seed the shared cache so survival is observable.
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let before = client.flow(request_for(&spec)).expect("seed flow");
-
-    // A well-framed request of an *unknown kind* — what a newer client
-    // speaking the same frame version would send. The server must
-    // answer with an error frame, not tear the connection down.
+    // Well-framed requests of kinds this server does not know: the
+    // retired flow (0), simulate (1) and shutdown (3) tags, and what a
+    // newer client speaking the same frame version would send (9). Each
+    // gets an error frame on the same connection, which stays open.
     let mut raw = TcpStream::connect(handle.addr()).expect("connect raw");
-    write_frame(&mut raw, &[9]).expect("write unknown kind");
-    let payload = read_frame(&mut raw)
-        .expect("error reply frame")
-        .expect("connection stays open");
-    match cool_ir::codec::from_bytes::<Response>(&payload).expect("reply decodes") {
-        Response::Error(msg) => assert!(
-            msg.contains("unsupported request kind (tag 9)"),
+    for tag in [0u8, 1, 3, 9] {
+        write_frame(&mut raw, &[tag]).expect("write unknown kind");
+        let msg = error_reply(&mut raw);
+        assert!(
+            msg.contains(&format!("unsupported request kind (tag {tag})")),
             "got: {msg}"
-        ),
-        other => panic!("expected an error response, got {other:?}"),
+        );
     }
 
     // The *same* connection keeps serving: a ping...
@@ -328,26 +138,18 @@ fn unknown_request_kinds_get_an_error_frame_and_the_connection_survives() {
         .expect("pong frame")
         .expect("connection stays open");
     assert_eq!(
-        cool_ir::codec::from_bytes::<Response>(&payload).expect("pong decodes"),
+        from_bytes::<Response>(&payload).expect("pong decodes"),
         Response::Pong
     );
 
-    // ...and a flow served entirely from the surviving shared cache.
-    write_frame(&mut raw, &to_bytes(&Request::Flow(request_for(&spec)))).expect("write flow");
+    // ...and a get served from the store, which kept running.
+    write_frame(&mut raw, &to_bytes(&Request::CacheGet(SEEDED_KEY))).expect("write get");
     let payload = read_frame(&mut raw)
-        .expect("flow reply frame")
+        .expect("get reply frame")
         .expect("connection stays open");
-    match cool_ir::codec::from_bytes::<Response>(&payload).expect("flow decodes") {
-        Response::Flow(resp) => {
-            assert_eq!(resp.vhdl, before.vhdl);
-            assert_eq!(resp.stages_computed(), 0, "cache must still be warm");
-        }
-        other => panic!("expected a flow response, got {other:?}"),
-    }
     assert_eq!(
-        handle.syntheses(),
-        1,
-        "the unknown kind never reached the engine"
+        from_bytes::<Response>(&payload).expect("get reply decodes"),
+        Response::CacheEntry(Some(seeded))
     );
 
     handle.shutdown();
@@ -547,13 +349,4 @@ fn bind_refuses_a_cache_with_a_remote_tier() {
     let err = Server::bind("127.0.0.1:0", chained).expect_err("a chained daemon must not bind");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     assert!(err.to_string().contains("never chain"), "{err}");
-}
-
-#[test]
-fn shutdown_request_stops_the_accept_loop() {
-    let (handle, join) = spawn_server(StageCache::default());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    client.ping().expect("ping");
-    client.shutdown().expect("shutdown handshake");
-    join.join().expect("accept loop exits");
 }

@@ -154,26 +154,6 @@ impl ContentHash for HlsOptions {
     }
 }
 
-impl Codec for HlsOptions {
-    fn encode(&self, e: &mut cool_ir::codec::Encoder) {
-        e.put_usize(self.max_multipliers);
-        e.put_usize(self.max_dividers);
-        e.put_usize(self.max_alus);
-        e.put_u16(self.bits);
-        e.put_u32(self.effort);
-    }
-
-    fn decode(d: &mut cool_ir::codec::Decoder<'_>) -> Result<Self, cool_ir::codec::CodecError> {
-        Ok(HlsOptions {
-            max_multipliers: d.take_usize()?,
-            max_dividers: d.take_usize()?,
-            max_alus: d.take_usize()?,
-            bits: d.take_u16()?,
-            effort: d.take_u32()?,
-        })
-    }
-}
-
 impl ContentHash for HlsDesign {
     fn content_hash(&self, h: &mut ContentHasher) {
         h.write_str(&self.name);

@@ -543,6 +543,13 @@ pub const FRAME_MAGIC: [u8; 8] = *b"COOLWIR\0";
 /// v5: a flow request's partitioner options shrank — the MILP options
 /// lost their pricing-rule byte, the GA options their tournament size,
 /// mutation rate and area penalty.
+///
+/// Still v5 after the flow, simulate and shutdown requests (tags 0, 1
+/// and 3) and their replies were retired: no surviving payload changed a
+/// byte, and a peer that still sends a retired tag gets the same
+/// "unsupported request kind" error, on a connection that stays open,
+/// as any unknown tag. A bump would only turn that answer into a
+/// dropped connection.
 pub const FRAME_VERSION: u32 = 5;
 /// Upper bound on a frame's payload, checked *before* allocation so a
 /// hostile or bit-flipped length prefix cannot OOM the server.

@@ -3,8 +3,8 @@
 //! The paper's flow optimizes one implicit scalar — schedule makespan,
 //! lightly traded against communication and area through the MILP's
 //! weight knobs. Design-space exploration needs that objective to be a
-//! *value*: something a session can declare, a cache key can absorb,
-//! and the `coold` wire format can carry. [`Objective`] is that value,
+//! *value*: something a session can declare and a cache key can
+//! absorb. [`Objective`] is that value,
 //! shared by all three partitioners (exact MILP, heuristic clustering,
 //! GA), and [`BudgetConstraint`] is the epsilon-constraint companion —
 //! the area bound a Pareto sweep varies while the objective stays
@@ -19,7 +19,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::codec::{Codec, CodecError, Decoder, Encoder};
 use crate::hash::{ContentHash, ContentHasher};
 use crate::target::Target;
 
@@ -157,43 +156,6 @@ impl ContentHash for Objective {
     }
 }
 
-impl Codec for Objective {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Objective::Makespan => e.put_u8(0),
-            Objective::Area => e.put_u8(1),
-            Objective::CommVolume => e.put_u8(2),
-            Objective::Blend {
-                time_weight,
-                comm_weight,
-                area_weight,
-            } => {
-                e.put_u8(3);
-                e.put_f64(*time_weight);
-                e.put_f64(*comm_weight);
-                e.put_f64(*area_weight);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Objective, CodecError> {
-        match d.take_u8()? {
-            0 => Ok(Objective::Makespan),
-            1 => Ok(Objective::Area),
-            2 => Ok(Objective::CommVolume),
-            3 => Ok(Objective::Blend {
-                time_weight: d.take_f64()?,
-                comm_weight: d.take_f64()?,
-                area_weight: d.take_f64()?,
-            }),
-            tag => Err(CodecError::InvalidTag {
-                type_name: "Objective",
-                tag,
-            }),
-        }
-    }
-}
-
 /// The epsilon constraint of a Pareto sweep: a hardware-area budget
 /// applied uniformly to every FPGA of a target board.
 ///
@@ -241,22 +203,9 @@ impl ContentHash for BudgetConstraint {
     }
 }
 
-impl Codec for BudgetConstraint {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.max_clbs_per_fpga);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<BudgetConstraint, CodecError> {
-        Ok(BudgetConstraint {
-            max_clbs_per_fpga: d.take_u32()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{from_bytes, to_bytes};
     use crate::hash::digest;
 
     #[test]
@@ -284,20 +233,6 @@ mod tests {
         let (t, c, a) = preset.weights();
         let blend = Objective::blend(t, c, a);
         assert_ne!(digest(&preset), digest(&blend));
-    }
-
-    #[test]
-    fn codec_round_trips() {
-        for o in [
-            Objective::Makespan,
-            Objective::Area,
-            Objective::CommVolume,
-            Objective::blend(2.0, 0.25, 0.5),
-        ] {
-            assert_eq!(from_bytes::<Objective>(&to_bytes(&o)).unwrap(), o);
-        }
-        let b = BudgetConstraint::new(96);
-        assert_eq!(from_bytes::<BudgetConstraint>(&to_bytes(&b)).unwrap(), b);
     }
 
     #[test]

@@ -180,65 +180,6 @@ impl fmt::Display for Optimality {
     }
 }
 
-impl Codec for MilpOptions {
-    /// Unlike the content hash, the wire encoding carries *every* knob
-    /// (`jobs` included): a served request must run with exactly the
-    /// options the client asked for, wall-clock-only or not.
-    fn encode(&self, e: &mut Encoder) {
-        self.objective.encode(e);
-        e.put_usize(self.max_nodes);
-        e.put_usize(self.max_pivots);
-        self.scheme.encode(e);
-        e.put_usize(self.jobs);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(MilpOptions {
-            objective: cool_ir::Objective::decode(d)?,
-            max_nodes: d.take_usize()?,
-            max_pivots: d.take_usize()?,
-            scheme: CommScheme::decode(d)?,
-            jobs: d.take_usize()?,
-        })
-    }
-}
-
-impl Codec for HeuristicOptions {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_usize(self.max_clusters);
-        self.milp.encode(e);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(HeuristicOptions {
-            max_clusters: d.take_usize()?,
-            milp: MilpOptions::decode(d)?,
-        })
-    }
-}
-
-impl Codec for GaOptions {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_usize(self.population);
-        e.put_usize(self.generations);
-        e.put_u64(self.seed);
-        self.scheme.encode(e);
-        self.objective.encode(e);
-        e.put_usize(self.jobs);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(GaOptions {
-            population: d.take_usize()?,
-            generations: d.take_usize()?,
-            seed: d.take_u64()?,
-            scheme: CommScheme::decode(d)?,
-            objective: cool_ir::Objective::decode(d)?,
-            jobs: d.take_usize()?,
-        })
-    }
-}
-
 impl From<cool_ilp::Status> for Optimality {
     /// Map a solver status onto the claim it supports. `Infeasible` and
     /// `Unbounded` never reach a `PartitionResult` (they surface as

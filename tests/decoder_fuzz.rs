@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use cool_repro::core::cache::{Entry, EntryKind, NodeArtifact};
 use cool_repro::core::disk::{self, decode_entry, FORMAT_VERSION};
-use cool_repro::core::server::{FlowRequest, FlowResponse, Request, Response, SimResponse};
+use cool_repro::core::server::{Request, Response};
 use cool_repro::core::{CacheStatsReply, FlowOptions, FlowSession, StageCache};
 use cool_repro::ir::codec::{
     from_bytes, read_frame, to_bytes, write_frame, Codec, MAX_FRAME_PAYLOAD,
@@ -139,59 +139,31 @@ fn every_mutated_entry_is_rejected() {
     }
 }
 
+/// The largest valid entry: a stage entry of several KB.
+fn largest_entry() -> Vec<u8> {
+    let entry = valid_entries()
+        .into_iter()
+        .max_by_key(Vec::len)
+        .expect("the flow wrote entries");
+    assert!(entry.len() > 2048, "{} bytes", entry.len());
+    entry
+}
+
 /// One value of every request kind.
 fn requests() -> Vec<Request> {
-    let flow = FlowRequest {
-        spec: print_spec(&workloads::equalizer(2)),
-        target: Target::fuzzy_board(),
-        options: FlowOptions::quick(),
-    };
     vec![
-        Request::Flow(flow.clone()),
-        Request::Simulate(flow, vec![("x0".into(), 12), ("x1".into(), -5)]),
         Request::Ping,
-        Request::Shutdown,
         Request::CacheGet(0x0123_4567_89ab_cdef),
         Request::CachePut(7, valid_entries().remove(0)),
         Request::CacheStats,
     ]
 }
 
-/// One value of every response kind, the flow response taken from a
-/// real run.
+/// One value of every response kind.
 fn responses() -> Vec<Response> {
-    let g = workloads::equalizer(2);
-    let art = FlowSession::new(&g)
-        .target(Target::fuzzy_board())
-        .options(FlowOptions::quick())
-        .run()
-        .expect("flow runs");
-    let flow = FlowResponse {
-        report: art.report(),
-        vhdl: art.vhdl.clone(),
-        c_programs: art
-            .c_programs
-            .iter()
-            .map(|p| (p.file_name.clone(), p.source.clone()))
-            .collect(),
-        memory_header: String::new(),
-        trace: art.trace.clone(),
-        optimality: art.partition.optimality,
-        gap: art.partition.gap,
-        flight: 3,
-        joined: 2,
-    };
     vec![
-        Response::Flow(Box::new(flow)),
-        Response::Sim(SimResponse {
-            outputs: vec![("y".into(), 42)],
-            cycles: 120,
-            bus_transfers: 6,
-            bus_busy_cycles: 18,
-        }),
         Response::Pong,
-        Response::ShuttingDown,
-        Response::Error("spec error: line 3".into()),
+        Response::Error("rejected cache put".into()),
         Response::CacheEntry(None),
         Response::CacheEntry(Some(vec![0xab; 40])),
         Response::CachePutDone(true),
@@ -330,19 +302,15 @@ fn mutated_specs_parse_or_error_without_panicking() {
     assert!((1..10_000).contains(&accepted), "{accepted} mutants parsed");
 }
 
-/// Framed payloads of several request and response kinds.
+/// Framed payloads of several request and response kinds, one of them
+/// a `CachePut` of a real multi-KB entry.
 fn valid_frames() -> Vec<Vec<u8>> {
-    let flow = FlowRequest {
-        spec: print_spec(&workloads::equalizer(2)),
-        target: Target::fuzzy_board(),
-        options: FlowOptions::quick(),
-    };
     let payloads = [
-        to_bytes(&Request::Flow(flow)),
+        to_bytes(&Request::CachePut(7, largest_entry())),
         to_bytes(&Request::Ping),
         to_bytes(&Request::CacheGet(0x0123_4567_89ab_cdef)),
         to_bytes(&Response::CacheEntry(Some(vec![0xab; 40]))),
-        to_bytes(&Response::Error("spec error: line 3".into())),
+        to_bytes(&Response::Error("rejected cache put".into())),
         Vec::new(),
     ];
     payloads
