@@ -273,6 +273,13 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
                 out!("{}", front.report());
             }
             if rest.iter().any(|a| a == "--trace") {
+                // Which points solve depends on which finish first, so
+                // the counts vary with --jobs; the front does not.
+                outln!(
+                    "milp sweep: {} solve(s), {} reused point(s)",
+                    front.milp_solves(),
+                    front.milp_reused()
+                );
                 if let Some(cache) = &cache {
                     outln!("{}", cache.stats().summary());
                 }

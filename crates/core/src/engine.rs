@@ -23,11 +23,14 @@
 //! All three are deterministic: artifacts are byte-identical for every
 //! `jobs` value; only wall-clock changes.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use cool_ir::hash::{ContentHash, ContentHasher};
 use cool_ir::Resource;
-use cool_partition::{HeuristicOptions, PartitionResult};
+use cool_partition::milp::{self, Certificate, Outcome};
+use cool_partition::{HeuristicOptions, MilpOptions, PartitionResult};
 use cool_rtl::place::Placement;
 use cool_rtl::SystemController;
 
@@ -319,7 +322,11 @@ impl Engine {
             if reached(cx) {
                 break;
             }
-            let key = keyed.as_ref().and_then(|k| {
+            let before = ArtifactFlags::of(&cx.artifacts);
+            // A pre-seeded pass-through already has its outputs: no tier
+            // holds an entry for it, so it is neither keyed nor looked up.
+            let seeded = pre_seeded(&**stage, before);
+            let key = keyed.as_ref().filter(|_| !seeded).and_then(|k| {
                 let local = stage.cache_key(cx)?;
                 Some(stage_key(k.graph_digest, &**stage, local, &k.digests))
             });
@@ -341,23 +348,26 @@ impl Engine {
                     continue;
                 }
             }
-            let before = ArtifactFlags::of(&cx.artifacts);
             let t0 = Instant::now();
             stage.run(cx)?;
             let elapsed = t0.elapsed();
             let nodes = take_node_delta(cx, stage.name());
-            let seeded = pre_seeded(&**stage, before);
             let outcome = match (&mut keyed, key) {
                 (None, _) if seeded => CacheOutcome::Seeded,
                 (None, _) => CacheOutcome::Uncached,
-                // Uncacheable stage under a cache: rebuild the digest
-                // table from scratch — downstream keys cover artifact
-                // *content*, so they stay sound (and cacheable) even if
-                // this stage mutated filled slots in place (which
-                // uncacheable stages are allowed to do).
+                // Uncacheable stage (or seeded pass-through) under a
+                // cache: rebuild the digest table from scratch —
+                // downstream keys cover artifact *content*, so they stay
+                // sound (and cacheable) even if this stage mutated filled
+                // slots in place (which uncacheable stages are allowed to
+                // do).
                 (Some(k), None) => {
                     k.digests = slot_digests(&cx.artifacts);
-                    CacheOutcome::Uncached
+                    if seeded {
+                        CacheOutcome::Seeded
+                    } else {
+                        CacheOutcome::Uncached
+                    }
                 }
                 (Some(k), Some(key)) => {
                     // Digest the slots the stage filled: the entry stores them
@@ -417,19 +427,11 @@ impl Engine {
                         && cx.artifacts.partition.as_ref().is_some_and(|p| {
                             p.optimality == cool_partition::Optimality::LimitReached
                         });
-                    // A pre-seeded pass-through deposited nothing: there is no
-                    // delta worth an LRU slot or a disk-tier file, and warm runs
-                    // re-running the (free) pass-through is strictly cheaper
-                    // than restoring an empty entry.
-                    if seeded {
-                        CacheOutcome::Seeded
-                    } else {
-                        if !truncated_partition {
-                            let delta = cx.artifacts.capture(before);
-                            k.cache.insert(key, delta, writes, elapsed);
-                        }
-                        CacheOutcome::Miss
+                    if !truncated_partition {
+                        let delta = cx.artifacts.capture(before);
+                        k.cache.insert(key, delta, writes, elapsed);
                     }
+                    CacheOutcome::Miss
                 }
             };
             trace.push(stage.name(), elapsed, outcome, nodes);
@@ -458,8 +460,8 @@ fn slot_digests(artifacts: &Artifacts) -> SlotDigests {
     ArtifactSlot::ALL.map(|slot| artifacts.digest(slot))
 }
 
-/// `true` when the stage ran as a pre-seeded pass-through: every slot it
-/// declares writing was already filled before it ran (e.g. the `cost`
+/// `true` when the stage is a pre-seeded pass-through: every slot it
+/// declares writing is already filled before it runs (e.g. the `cost`
 /// stage over a model seeded via `FlowSession::with_cost` or a
 /// `run_family` retarget). Distinct from a stage that legitimately
 /// *produces* nothing (`spec`, `sim-prep`, custom lints): those declare
@@ -639,7 +641,10 @@ impl Stage for PartitionStage {
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), FlowError> {
         let cost = cx.artifacts.cost()?;
         let partition = match &Self::effective_partitioner(cx.options) {
-            Partitioner::Milp(o) => cool_partition::milp::partition(cx.graph, cost, o)?,
+            Partitioner::Milp(o) => match cx.milp_memo {
+                Some(memo) => memo.partition(cx.graph, cost, o)?,
+                None => cool_partition::milp::partition(cx.graph, cost, o)?,
+            },
             Partitioner::Heuristic(o) => cool_partition::heuristic::partition(cx.graph, cost, o)?,
             Partitioner::Genetic(o) => cool_partition::genetic::partition(cx.graph, cost, o)?,
             Partitioner::Fixed(mapping) => {
@@ -678,6 +683,52 @@ impl Stage for PartitionStage {
 
     fn writes(&self) -> &'static [ArtifactSlot] {
         &[ArtifactSlot::Partition]
+    }
+}
+
+/// A budget sweep's MILP certificates, lent to every point of the sweep
+/// through [`FlowContext`]: a point whose model a looser point's
+/// root-unique optimum [solves](cool_ilp::Solution::solves) finishes
+/// from it instead of solving, and a point that solves deposits its own
+/// certificate. Either way the partition is the one a fresh solve
+/// returns, so the engine keys, stores and counts it like any computed
+/// one. How many points solve depends on which finish first, so the
+/// counts vary with `jobs`; the partitions do not.
+#[derive(Debug, Default)]
+pub(crate) struct MilpMemo {
+    certificates: Mutex<Vec<Certificate>>,
+    solves: AtomicUsize,
+    reused: AtomicUsize,
+}
+
+impl MilpMemo {
+    /// [`cool_partition::milp::partition`] through the memo.
+    fn partition(
+        &self,
+        g: &cool_ir::PartitioningGraph,
+        cost: &cool_cost::CostModel,
+        options: &MilpOptions,
+    ) -> Result<PartitionResult, cool_partition::PartitionError> {
+        let prior = self.certificates.lock().expect("memo poisoned").clone();
+        let (result, outcome) = milp::partition_certified(g, cost, options, &prior)?;
+        match outcome {
+            Outcome::Reused => {
+                self.reused.fetch_add(1, Ordering::Relaxed);
+            }
+            Outcome::Solved(own) => {
+                self.solves.fetch_add(1, Ordering::Relaxed);
+                self.certificates.lock().expect("memo poisoned").extend(own);
+            }
+        }
+        Ok(result)
+    }
+
+    /// `(MILP solves, points finished from a certificate)` so far.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        (
+            self.solves.load(Ordering::Relaxed),
+            self.reused.load(Ordering::Relaxed),
+        )
     }
 }
 

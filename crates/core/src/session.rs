@@ -47,7 +47,7 @@ use cool_ir::{BudgetConstraint, Mapping, PartitioningGraph, Target};
 use cool_partition::{Optimality, PartitionResult};
 
 use crate::cache::{ArtifactSlot, Artifacts};
-use crate::engine::Engine;
+use crate::engine::{Engine, MilpMemo};
 use crate::stage::FlowContext;
 use crate::timing::FlowTrace;
 use crate::{FlowArtifacts, FlowError, FlowOptions, Partitioner, StageCache};
@@ -255,6 +255,7 @@ impl<'a> FlowSession<'a> {
             self.cache.as_ref(),
             seed,
             None,
+            &MilpMemo::default(),
         )?;
         let boards = runs
             .into_iter()
@@ -280,10 +281,13 @@ impl<'a> FlowSession<'a> {
     /// run as seeded pass-throughs
     /// ([`CacheOutcome::Seeded`](crate::CacheOutcome::Seeded), counted by
     /// [`ParetoFront::cost_estimations`]). Points run their
-    /// spec→partition prefix on up to `jobs` scoped workers and come
-    /// back in input order for every job count, so the front is
-    /// byte-identical at any `jobs`; one shared [`StageCache`] (when
-    /// configured) serves all points. Node-limit-truncated points
+    /// spec→partition prefix on up to `jobs` scoped workers, loosest
+    /// budget first, and come back in input order for every job count,
+    /// so the front is byte-identical at any `jobs`; one shared
+    /// [`StageCache`] (when configured) serves all points. Under the
+    /// exact partitioner a point finishes from a looser point's
+    /// certified optimum when that optimum provably is its own
+    /// ([`ParetoFront::milp_reused`]). Node-limit-truncated points
     /// carry their optimality [`gap`](ParetoPoint::gap).
     ///
     /// # Errors
@@ -308,6 +312,7 @@ impl<'a> FlowSession<'a> {
         // Budget-only target changes are retarget-compatible by
         // construction, so no pairwise check is needed.
         let seed = self.seed(&targets[0])?;
+        let memo = MilpMemo::default();
         let (estimation, runs) = fan_out(
             self.graph,
             &targets,
@@ -315,7 +320,9 @@ impl<'a> FlowSession<'a> {
             self.cache.as_ref(),
             seed,
             Some(ArtifactSlot::Partition),
+            &memo,
         )?;
+        let (milp_solves, milp_reused) = memo.counts();
         let mut points = budgets
             .into_iter()
             .zip(runs)
@@ -329,6 +336,9 @@ impl<'a> FlowSession<'a> {
             objective: declared_objective(&options),
             points,
             estimation,
+            proxy: milp_proxy(&options),
+            milp_solves,
+            milp_reused,
         })
     }
 
@@ -411,6 +421,7 @@ impl<'a> FlowSession<'a> {
             self.cache.as_ref(),
             cost,
             stop,
+            None,
         )?;
         Ok((target.clone(), artifacts, trace))
     }
@@ -426,6 +437,7 @@ fn run_engine(
     cache: Option<&StageCache>,
     cost: Option<CostModel>,
     stop: Option<ArtifactSlot>,
+    memo: Option<&MilpMemo>,
 ) -> Result<(Artifacts, FlowTrace), FlowError> {
     let mut engine = Engine::standard();
     if let Some(cache) = cache {
@@ -433,6 +445,7 @@ fn run_engine(
     }
     let mut cx = FlowContext::new(graph, target, options);
     cx.artifacts.cost = cost;
+    cx.milp_memo = memo;
     let trace = engine.run_until(&mut cx, stop)?;
     Ok((cx.artifacts, trace))
 }
@@ -443,8 +456,11 @@ fn run_engine(
 /// a model), whose trace is the evidence the `cost_estimations` counters
 /// read. Phase 2 runs every target up to `stop`, seeded with a
 /// [`CostModel::retarget`] of that model — budgets do not affect the
-/// per-node estimates — on up to `jobs` workers, in input order. The
-/// first failing target's error (in input order) fails the fan-out.
+/// per-node estimates — on up to `jobs` workers, all lent `memo`. They
+/// start in descending total CLB capacity, so a tight point usually
+/// finds a looser point's MILP certificate already there; results come
+/// back in input order, and the first failing target's error (in input
+/// order) fails the fan-out.
 fn fan_out(
     graph: &PartitioningGraph,
     targets: &[Target],
@@ -452,6 +468,7 @@ fn fan_out(
     cache: Option<&StageCache>,
     seed: Option<CostModel>,
     stop: Option<ArtifactSlot>,
+    memo: &MilpMemo,
 ) -> Result<(FlowTrace, Vec<(Artifacts, FlowTrace)>), FlowError> {
     let (estimated, estimation) = run_engine(
         graph,
@@ -460,6 +477,7 @@ fn fan_out(
         cache,
         seed,
         Some(ArtifactSlot::Cost),
+        None,
     )?;
     let cost = estimated.cost()?;
     // The jobs budget is spent once, not squared: with several targets
@@ -470,7 +488,15 @@ fn fan_out(
         jobs: if targets.len() > 1 { 1 } else { options.jobs },
         ..options.clone()
     };
-    let runs = cool_ir::par::par_map(targets, options.jobs, |target| {
+    // Loosest first, dispatched to every worker at once: a serial first
+    // round of the loosest point would idle the others, and it is the
+    // deepest tree where hardware pays.
+    let mut order: Vec<usize> = (0..targets.len()).collect();
+    order.sort_by_key(|&i| {
+        std::cmp::Reverse(targets[i].hw.iter().map(|h| h.clb_capacity).sum::<u32>())
+    });
+    let runs = cool_ir::par::par_map(&order, options.jobs, |&i| {
+        let target = &targets[i];
         run_engine(
             graph,
             target,
@@ -478,9 +504,17 @@ fn fan_out(
             cache,
             Some(cost.retarget(target)),
             stop,
+            Some(memo),
         )
     });
-    Ok((estimation, runs.into_iter().collect::<Result<_, _>>()?))
+    let mut runs: Vec<_> = order.into_iter().zip(runs).collect();
+    runs.sort_unstable_by_key(|&(i, _)| i);
+    Ok((
+        estimation,
+        runs.into_iter()
+            .map(|(_, run)| run)
+            .collect::<Result<_, _>>()?,
+    ))
 }
 
 /// `true` when `b` can be produced from a cost model estimated on `a`
@@ -781,6 +815,15 @@ fn declared_objective(options: &FlowOptions) -> String {
     }
 }
 
+/// The `(time, comm, area)` weights the exact partitioner minimizes —
+/// the only partitioner whose points can read `optimal`.
+fn milp_proxy(options: &FlowOptions) -> Option<(f64, f64, f64)> {
+    match &options.partitioner {
+        Partitioner::Milp(m) => Some(options.objective.unwrap_or(m.objective).weights()),
+        _ => None,
+    }
+}
+
 /// One evaluated point of a [`FlowSession::pareto`] sweep.
 #[derive(Debug, Clone)]
 pub struct ParetoPoint {
@@ -886,6 +929,11 @@ pub struct ParetoFront {
     objective: String,
     points: Vec<ParetoPoint>,
     estimation: FlowTrace,
+    /// The `(time, comm, area)` weights of the exact partitioner's proxy
+    /// objective; `None` for the other partitioners.
+    proxy: Option<(f64, f64, f64)>,
+    milp_solves: usize,
+    milp_reused: usize,
 }
 
 impl ParetoFront {
@@ -960,6 +1008,28 @@ impl ParetoFront {
         self.points.iter().filter(|p| p.is_truncated()).count()
     }
 
+    /// Exact-partitioner (`milp`) solves the sweep ran. Points restored
+    /// from the cache neither solve nor reuse, so a warm re-sweep reads
+    /// 0. Like branch & bound node counts, this depends on `jobs`: the
+    /// points in flight together solve before any can reuse the others'
+    /// certificates. The partitions never depend on it, which is why
+    /// neither [`report`](ParetoFront::report) nor
+    /// [`to_csv`](ParetoFront::to_csv) prints it.
+    #[must_use]
+    pub fn milp_solves(&self) -> usize {
+        self.milp_solves
+    }
+
+    /// Points the sweep finished from a looser point's certified MILP
+    /// optimum instead of solving: the root relaxation's unique
+    /// integral optimum, which fits the tighter budget and is what a
+    /// fresh solve returns. `jobs`-dependent like
+    /// [`milp_solves`](ParetoFront::milp_solves).
+    #[must_use]
+    pub fn milp_reused(&self) -> usize {
+        self.milp_reused
+    }
+
     /// The comparative sweep report: one row per point (budget,
     /// partition shape, makespan, CLB usage, front membership,
     /// optimality with the quantified gap for truncated solves) plus
@@ -1000,6 +1070,18 @@ impl ParetoFront {
                 ],
                 &format!(" {}", p.partition.optimality_label()),
             ));
+        }
+        if let Some((t, c, a)) = self.proxy {
+            if self
+                .points
+                .iter()
+                .any(|p| p.partition.optimality == Optimality::Optimal)
+            {
+                s.push_str(&format!(
+                    "optimal: proven for the MILP proxy {t}·Σ exec + {c}·Σ comm·cut + \
+                     {a}·Σ area; makespan is that mapping's list-scheduled makespan\n"
+                ));
+            }
         }
         s.push_str(&format!(
             "pareto sweep: {} point(s), {} non-dominated, {} stage(s) computed\n",

@@ -117,6 +117,9 @@ pub struct FlowContext<'a> {
     /// `(stage name, delta)`; the engine drains these into the matching
     /// [`StageRecord`](crate::timing::StageRecord)s.
     pub node_deltas: Vec<(&'static str, crate::timing::NodeDelta)>,
+    /// The MILP certificates of the budget sweep this run is one point
+    /// of; `None` outside a sweep.
+    pub(crate) milp_memo: Option<&'a crate::engine::MilpMemo>,
 }
 
 impl<'a> FlowContext<'a> {
@@ -134,6 +137,7 @@ impl<'a> FlowContext<'a> {
             artifacts: Artifacts::default(),
             node_cache: None,
             node_deltas: Vec::new(),
+            milp_memo: None,
         }
     }
 }

@@ -126,6 +126,34 @@ fn warm_start_from_disk_is_byte_identical_at_jobs_1_and_4() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A pareto sweep warm-started from disk restores every stage and asks
+/// no tier for anything it cannot serve: each point's seeded `cost`
+/// pass-through is never looked up, so the cache reads 0 misses.
+#[test]
+fn warm_pareto_sweep_from_disk_misses_nothing() {
+    let g = workloads::incremental(16, 19);
+    let dir = temp_cache_dir("pareto");
+    let budgets = [16, 48, 96, 128].map(cool_ir::BudgetConstraint::new);
+    let sweep = |cache: &StageCache| {
+        FlowSession::new(&g)
+            .target(Target::fuzzy_board())
+            .options(FlowOptions::quick())
+            .jobs(1)
+            .cache(cache.clone())
+            .pareto(budgets)
+            .unwrap()
+    };
+    let cold = sweep(&StageCache::persistent(64, &dir).unwrap());
+    let warm_cache = StageCache::persistent(64, &dir).unwrap();
+    let warm = sweep(&warm_cache);
+    let stats = warm_cache.stats();
+    assert_eq!(warm.computed_stages(), 0, "{}", warm.report());
+    assert!(stats.disk_hits > 0, "{}", stats.summary());
+    assert_eq!(stats.misses, 0, "{}", stats.summary());
+    assert_eq!(warm.to_csv(), cold.to_csv());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Truncation, bit flips and version bumps on individual entries must
 /// degrade those entries to misses (recompute + rewrite) without error
 /// and without a single artifact changing.

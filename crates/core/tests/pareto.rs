@@ -13,10 +13,14 @@
 //!   filter over (makespan, total CLBs), duplicates kept.
 //! * **Truncation honesty** — node-limit-truncated MILP points carry
 //!   `Some(gap)` and the report/CSV say so.
+//! * **Certified reuse** — a point finished from a looser point's
+//!   certified MILP optimum equals a fresh `milp::partition` of that
+//!   point, at `jobs = 1` and `jobs = 2`.
 
 use cool_core::{CacheOutcome, FlowError, FlowOptions, FlowSession, Partitioner, StageCache};
+use cool_cost::{CommScheme, CostModel};
 use cool_ir::{BudgetConstraint, Objective, Target};
-use cool_partition::MilpOptions;
+use cool_partition::{milp, MilpOptions};
 use cool_spec::workloads::{self, random_dag, RandomDagConfig};
 
 fn budgets(clbs: &[u32]) -> Vec<BudgetConstraint> {
@@ -232,4 +236,149 @@ fn objective_override_is_reflected_in_the_front_label() {
         "{}",
         front.report()
     );
+}
+
+// ---------------------------------------------------------------------
+// Certified reuse.
+
+fn milp_sweep_options(scheme: CommScheme) -> FlowOptions {
+    FlowOptions {
+        partitioner: Partitioner::Milp(MilpOptions::default()),
+        scheme,
+        ..FlowOptions::default()
+    }
+}
+
+/// `count` seeded budgets in `4..=196`, duplicates allowed.
+fn seeded_budgets(seed: u64, count: usize) -> Vec<u32> {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..count)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            4 + (x % 193) as u32
+        })
+        .collect()
+}
+
+/// Every point of a sweep — reused or solved, at `jobs` 1 and 2 — is the
+/// partition a fresh solve of that point returns, `work_units`
+/// included. Small designs only: under `direct`, `fir` from 6 taps and
+/// `state_machine(6, 2)` expand trees of hundreds to thousands of nodes
+/// per point. The random DAGs also run on the single-FPGA board, where
+/// an optimum with hardware in use has no mirror image to tie with: it
+/// can be certified and then no longer fit a tighter point.
+#[test]
+fn certified_reuse_matches_fresh_solves_at_every_point() {
+    let mut cases: Vec<(cool_ir::PartitioningGraph, Target)> = [
+        workloads::equalizer(2),
+        workloads::equalizer(3),
+        workloads::fir(3),
+        workloads::fir(4),
+        workloads::iir(1),
+        workloads::iir(2),
+        workloads::incremental(3, 7),
+        workloads::incremental(4, 11),
+        workloads::state_machine(2, 2),
+        workloads::multirate(4, 2, 1),
+    ]
+    .into_iter()
+    .map(|g| (g, Target::fuzzy_board()))
+    .collect();
+    for (nodes, seed) in [(8, 1), (8, 2), (8, 3), (8, 4), (10, 2)] {
+        let g = random_dag(RandomDagConfig {
+            nodes,
+            inputs: 2,
+            outputs: 2,
+            seed,
+        });
+        cases.push((g.clone(), Target::fuzzy_board()));
+        cases.push((g, Target::minimal()));
+    }
+    let (mut points, mut reused) = (0, 0);
+    for (i, (g, board)) in cases.iter().enumerate() {
+        let cost = CostModel::new(g, board);
+        let clbs = seeded_budgets(i as u64, 6);
+        for scheme in [CommScheme::MemoryMapped, CommScheme::Direct] {
+            let sweep = |jobs: usize| {
+                FlowSession::new(g)
+                    .target(board.clone())
+                    .options(milp_sweep_options(scheme))
+                    .jobs(jobs)
+                    .pareto(budgets(&clbs))
+                    .unwrap()
+            };
+            let (serial, parallel) = (sweep(1), sweep(2));
+            let point_options = MilpOptions {
+                scheme,
+                ..MilpOptions::default()
+            };
+            for ((a, b), &clb) in serial.points().iter().zip(parallel.points()).zip(&clbs) {
+                let target = BudgetConstraint::new(clb).apply(board);
+                let fresh = milp::partition(g, &cost.retarget(&target), &point_options).unwrap();
+                let what = format!(
+                    "{} on {} FPGA(s) under {scheme:?} @{clb}",
+                    g.name(),
+                    board.hw.len()
+                );
+                assert_eq!(a.partition, fresh, "{what}, jobs 1");
+                assert_eq!(b.partition, fresh, "{what}, jobs 2");
+            }
+            assert_eq!(
+                serial.milp_solves() + serial.milp_reused(),
+                clbs.len(),
+                "every point of a cold sweep either solves or reuses"
+            );
+            points += clbs.len();
+            reused += serial.milp_reused();
+        }
+    }
+    assert!(
+        reused * 2 >= points,
+        "the certificate must keep firing: {reused} of {points} points reused"
+    );
+}
+
+/// The benchmark's `explore` sweep (15 budgets `16..128:8`) of each of
+/// its eight designs solves the loosest point and reuses that optimum
+/// at the other 14 at `jobs` 1; a warm re-sweep restores every point
+/// and does neither.
+#[test]
+fn explore_sweeps_solve_once_and_reuse_fourteen_times() {
+    let designs = [
+        workloads::equalizer(8),
+        workloads::fir(16),
+        workloads::dct8(),
+        workloads::incremental(8, 2),
+        workloads::incremental(16, 19),
+        workloads::state_machine(6, 2),
+        workloads::multirate(8, 3, 2),
+        random_dag(RandomDagConfig {
+            nodes: 24,
+            inputs: 3,
+            outputs: 2,
+            seed: 1,
+        }),
+    ];
+    let clbs: Vec<u32> = (16..=128).step_by(8).collect();
+    let options = milp_sweep_options(CommScheme::MemoryMapped);
+    for g in &designs {
+        let cache = StageCache::default();
+        let cold = sweep(g, &options, 1, Some(&cache), &clbs);
+        assert_eq!(
+            (cold.milp_solves(), cold.milp_reused()),
+            (1, 14),
+            "{}",
+            g.name()
+        );
+        let warm = sweep(g, &options, 1, Some(&cache), &clbs);
+        assert_eq!(
+            (warm.milp_solves(), warm.milp_reused()),
+            (0, 0),
+            "{}",
+            g.name()
+        );
+        assert_eq!(warm.to_csv(), cold.to_csv());
+    }
 }

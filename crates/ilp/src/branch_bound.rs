@@ -43,7 +43,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::simplex::{
-    solve_lp_delta, solve_lp_opts, solve_lp_warm, Fixing, LpOptions, SimplexWorkspace,
+    held_optimum_is_unique, solve_lp_delta, solve_lp_opts, solve_lp_warm, Fixing, LpOptions,
+    SimplexWorkspace,
 };
 use crate::{IlpError, Problem, Solution, SolveOptions, Status, VarKind};
 
@@ -479,6 +480,10 @@ pub(crate) fn solve(p: &Problem, options: &SolveOptions) -> Result<Solution, Ilp
     };
     let root = solve_lp_opts(p, &[], &mut ws, &root_opts)?;
     let root_basis: WarmBasis = Arc::new(ws.basis().to_vec());
+    // An integral root is the whole search; certify it on the root's
+    // final tableau while the workspace still holds it.
+    let root_unique =
+        most_fractional(p, &root.values).is_none() && held_optimum_is_unique(&mut ws, jobs);
 
     let shared = Shared::new(
         p,
@@ -583,6 +588,7 @@ pub(crate) fn solve(p: &Problem, options: &SolveOptions) -> Result<Solution, Ilp
             },
             nodes_explored: nodes,
             pivots,
+            root_unique,
         }),
         None if limit_hit => Err(IlpError::NoIncumbent),
         None => Err(IlpError::Infeasible),

@@ -10,14 +10,18 @@
 //!   ([`simplex`]) on a flat stride-indexed tableau, with steepest-edge
 //!   pricing and a Bland's-rule fallback while the objective stalls,
 //!   basis warm starts for re-solves one bound flip apart, and
-//!   row-parallel pricing/update kernels, and
+//!   row-parallel pricing/update kernels,
 //! * **branch & bound** over the binary variables ([`branch_bound`]),
 //!   most-fractional branching, best-bound pruning and node limits,
 //!   child LPs warm-started from the parent's optimal basis; parallel
 //!   under [`SolveOptions::jobs`] with deterministic best-bound
 //!   merging (lower objective first, lexicographically smallest
 //!   assignment on ties), so the returned [`Solution`] is identical for
-//!   every worker count.
+//!   every worker count, and
+//! * a **root-uniqueness certificate** ([`Solution::root_unique`]): an
+//!   integral root whose vertex is the relaxation's only optimum is also
+//!   the answer to any problem that differs only in tighter right-hand
+//!   sides and still admits it ([`Solution::solves`]).
 //!
 //! The solver is deliberately sized for co-design instances (hundreds of
 //! variables and constraints), not for industrial LPs.
@@ -227,9 +231,69 @@ pub struct Solution {
     /// Diagnostic only — like `nodes_explored` it varies with `jobs`
     /// even when the solution does not.
     pub pivots: usize,
+    /// The root relaxation was integral and its optimal vertex — the
+    /// returned assignment — is the relaxation's unique optimum (see
+    /// [`Solution::root_unique`]).
+    root_unique: bool,
 }
 
+/// Feasibility tolerance of [`Solution::solves`]'s row check.
+const FEAS_TOL: f64 = 1e-9;
+
 impl Solution {
+    /// Whether the root LP relaxation was integral and its optimal
+    /// vertex was certified as the relaxation's *unique* optimum. Decided
+    /// on the root's final tableau; ties, near-ties and fractional roots
+    /// read `false`.
+    #[must_use]
+    pub fn root_unique(&self) -> bool {
+        self.root_unique
+    }
+
+    /// Whether this solution, returned for `solved`, is also what a fresh
+    /// solve of `other` returns, so `other` need not be solved.
+    ///
+    /// Holds when the solution is a [root-unique](Solution::root_unique)
+    /// optimum found at the root alone, `other` has `solved`'s variables,
+    /// costs, terms and senses with every right-hand side equal or
+    /// tighter (`Le` lower, `Ge` higher, `Eq` equal), and the solution
+    /// satisfies `other`'s rows. Then LP(`other`) ⊆ LP(`solved`) still
+    /// contains the vertex, which is therefore `other`'s unique integral
+    /// root optimum too: a fresh branch & bound ends at its root with the
+    /// same assignment (`nodes_explored` 1). Both problems are compared
+    /// whole, so the answer never rests on the caller's say-so.
+    #[must_use]
+    pub fn solves(&self, solved: &Problem, other: &Problem) -> bool {
+        self.root_unique
+            && self.status == Status::Optimal
+            && self.nodes_explored == 1
+            && self.values.len() == other.var_count()
+            && solved.kinds == other.kinds
+            && solved.costs == other.costs
+            && solved.constraints.len() == other.constraints.len()
+            && solved
+                .constraints
+                .iter()
+                .zip(&other.constraints)
+                .all(|(s, o)| {
+                    s.terms == o.terms
+                        && s.cmp == o.cmp
+                        && match s.cmp {
+                            Cmp::Le => o.rhs <= s.rhs,
+                            Cmp::Ge => o.rhs >= s.rhs,
+                            Cmp::Eq => o.rhs == s.rhs,
+                        }
+                })
+            && other.constraints.iter().all(|c| {
+                let lhs: f64 = c.terms.iter().map(|&(v, a)| a * self.values[v]).sum();
+                match c.cmp {
+                    Cmp::Le => lhs <= c.rhs + FEAS_TOL,
+                    Cmp::Ge => lhs >= c.rhs - FEAS_TOL,
+                    Cmp::Eq => (lhs - c.rhs).abs() <= FEAS_TOL,
+                }
+            })
+    }
+
     /// The value of `v`, rounded to the nearest integer (for binaries).
     #[must_use]
     pub fn int_value(&self, v: VarId) -> i64 {
@@ -412,6 +476,153 @@ mod tests {
         let sol = p.solve(&SolveOptions::default()).unwrap();
         assert!((sol.value(x) - 3.0).abs() < 1e-6);
         assert!((sol.value(y) - 2.0).abs() < 1e-6);
+    }
+
+    /// xorshift64*: the reuse battery stays std-only like the crate.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+    }
+
+    /// A small partitioning-shaped MILP: every item on exactly one of
+    /// three resources, capacity rows on resources 1 and 2, and
+    /// continuous cut indicators `y ≥ |x_a,r − x_b,r|` between random
+    /// item pairs.
+    fn random_partitioning(rng: &mut Rng) -> Problem {
+        let items = 3 + rng.below(3) as usize;
+        let mut p = Problem::minimize();
+        let x: Vec<Vec<VarId>> = (0..items)
+            .map(|_| {
+                let row: Vec<VarId> = (0..3)
+                    .map(|_| p.add_binary((rng.below(40) + 1) as f64))
+                    .collect();
+                let terms: Vec<_> = row.iter().map(|&v| (v, 1.0)).collect();
+                p.add_constraint(&terms, Cmp::Eq, 1.0);
+                row
+            })
+            .collect();
+        for r in 1..3 {
+            let terms: Vec<_> = x
+                .iter()
+                .map(|row| (row[r], (rng.below(5) + 1) as f64))
+                .collect();
+            p.add_constraint(&terms, Cmp::Le, (rng.below(12) + 2) as f64);
+        }
+        for _ in 0..items {
+            let (a, b) = (
+                rng.below(items as u64) as usize,
+                rng.below(items as u64) as usize,
+            );
+            let y = p.add_continuous(0.0, 1.0, (rng.below(6) + 1) as f64);
+            for (&xa, &xb) in x[a].iter().zip(&x[b]) {
+                p.add_constraint(&[(y, 1.0), (xa, -1.0), (xb, 1.0)], Cmp::Ge, 0.0);
+                p.add_constraint(&[(y, 1.0), (xb, -1.0), (xa, 1.0)], Cmp::Ge, 0.0);
+            }
+        }
+        p
+    }
+
+    fn rounded(sol: &Solution) -> Vec<i64> {
+        sol.values.iter().map(|v| v.round() as i64).collect()
+    }
+
+    #[test]
+    fn certified_optima_are_what_a_tighter_fresh_solve_returns() {
+        let (mut certified, mut applied) = (0, 0);
+        for seed in 0..60u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let p = random_partitioning(&mut rng);
+            let sol = p.solve(&SolveOptions::default()).unwrap();
+            if !sol.root_unique() {
+                continue;
+            }
+            certified += 1;
+            assert_eq!(
+                sol.nodes_explored, 1,
+                "seed {seed}: a certified root is the whole search"
+            );
+            for _ in 0..8 {
+                let mut tighter = p.clone();
+                for _ in 0..2 {
+                    let row = rng.below(tighter.constraints.len() as u64) as usize;
+                    let c = &mut tighter.constraints[row];
+                    let step = rng.below(3) as f64;
+                    match c.cmp {
+                        Cmp::Le => c.rhs -= step,
+                        Cmp::Ge => c.rhs += step / 2.0,
+                        Cmp::Eq => {}
+                    }
+                }
+                if !sol.solves(&p, &tighter) {
+                    continue;
+                }
+                applied += 1;
+                let fresh = tighter.solve(&SolveOptions::default()).unwrap();
+                assert_eq!(fresh.status, Status::Optimal, "seed {seed}");
+                assert_eq!(fresh.nodes_explored, 1, "seed {seed}");
+                assert_eq!(rounded(&fresh), rounded(&sol), "seed {seed}");
+            }
+        }
+        assert!(
+            certified >= 25 && applied >= 60,
+            "the battery must exercise the certificate: {certified} certified, {applied} applied"
+        );
+    }
+
+    #[test]
+    fn tied_optima_are_not_certified() {
+        // min x + y s.t. x + y >= 1: both unit vectors tie.
+        let mut p = Problem::minimize();
+        let x = p.add_binary(1.0);
+        let y = p.add_binary(1.0);
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 1.0);
+        let sol = p.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(sol.nodes_explored, 1, "the root is integral");
+        assert!(!sol.root_unique());
+
+        // Two items over two identical one-item bins: either pairing.
+        let mut p = Problem::minimize();
+        let x: Vec<Vec<VarId>> = (0..2)
+            .map(|_| (0..2).map(|_| p.add_binary(1.0)).collect())
+            .collect();
+        for row in &x {
+            p.add_constraint(&[(row[0], 1.0), (row[1], 1.0)], Cmp::Eq, 1.0);
+        }
+        for (&first, &second) in x[0].iter().zip(&x[1]) {
+            p.add_constraint(&[(first, 1.0), (second, 1.0)], Cmp::Le, 1.0);
+        }
+        let sol = p.solve(&SolveOptions::default()).unwrap();
+        assert!(!sol.root_unique());
+    }
+
+    #[test]
+    fn solves_holds_only_for_tighter_right_hand_sides() {
+        // min -3a - 4b s.t. a + b <= 1, 2a + b <= 3: b alone, uniquely.
+        let build = |cost_b: f64, rhs: f64| {
+            let mut p = Problem::minimize();
+            let a = p.add_binary(-3.0);
+            let b = p.add_binary(cost_b);
+            p.add_constraint(&[(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
+            p.add_constraint(&[(a, 2.0), (b, 1.0)], Cmp::Le, rhs);
+            p
+        };
+        let solved = build(-4.0, 3.0);
+        let sol = solved.solve(&SolveOptions::default()).unwrap();
+        assert!(sol.root_unique());
+        assert!(sol.solves(&solved, &solved));
+        assert!(
+            sol.solves(&solved, &build(-4.0, 1.0)),
+            "tighter, still fits"
+        );
+        assert!(!sol.solves(&solved, &build(-4.0, 0.5)), "tighter, cut off");
+        assert!(!sol.solves(&solved, &build(-4.0, 4.0)), "looser");
+        assert!(!sol.solves(&solved, &build(-5.0, 3.0)), "another cost");
     }
 
     #[test]

@@ -111,6 +111,13 @@ const WARM_TOL: f64 = 1e-7;
 /// keeping every comparison exact, so the choice stays deterministic.
 const HARRIS_TOL: f64 = 1e-7;
 
+/// The uniqueness certificate's two thresholds: a reduced cost or basic
+/// value at most `CERT_ZERO` counts as zero, one at least `CERT_CLEAR`
+/// as clearly positive. A value in between is too close to call, and
+/// the certificate declines.
+const CERT_ZERO: f64 = 1e-9;
+const CERT_CLEAR: f64 = 1e-6;
+
 /// One normalized constraint row of the standard-form build.
 #[derive(Debug)]
 struct Row {
@@ -551,6 +558,71 @@ pub(crate) fn solve_lp_delta(
     let sol = extract(p, ws, &b);
     ws.commit_state(&b, fixings);
     Ok(sol)
+}
+
+/// Whether the optimal vertex whose final tableau the workspace holds is
+/// the *unique* optimum of its LP, decided on that tableau alone.
+///
+/// Only the nonbasic columns `Z` with zero reduced cost can move without
+/// raising the objective (the all-zero slack columns of `Eq` rows move
+/// nothing and are left out), and a move along `u ≥ 0` over `Z` stays
+/// feasible exactly when it lowers no basic variable that already sits
+/// at zero — the degenerate rows `D` (dependent, marker-basic rows
+/// excepted). So the vertex is unique iff no `u ∈ [0,1]^Z` with `Σu = 1`
+/// has `t[D,Z]·u ≤ 0`, which a tiny LP of this same simplex decides.
+/// `false` whenever the tableau is not clearly optimal or a reduced cost
+/// or basic value is too close to zero to call.
+pub(crate) fn held_optimum_is_unique(ws: &mut SimplexWorkspace, jobs: usize) -> bool {
+    if !ws.state_valid {
+        return false;
+    }
+    let b = Build::for_state(ws);
+    price_pass(ws, &b, false, jobs);
+    let mut basic = vec![false; b.rhs_col];
+    for &c in ws.basis.iter().filter(|&&c| c < b.rhs_col) {
+        basic[c] = true;
+    }
+    let mut zero = Vec::new();
+    for (j, &d) in ws.reduced.iter().enumerate() {
+        if basic[j] || (j >= b.n && ws.rows[j - b.n].cmp == Cmp::Eq) {
+            continue;
+        }
+        if d < -PRICE_TOL || (d > CERT_ZERO && d < CERT_CLEAR) {
+            return false;
+        }
+        if d <= CERT_ZERO {
+            zero.push(j);
+        }
+    }
+    if zero.is_empty() {
+        return true;
+    }
+    let mut cone = Problem::minimize();
+    let u: Vec<_> = zero
+        .iter()
+        .map(|_| cone.add_continuous(0.0, 1.0, 0.0))
+        .collect();
+    let simplex: Vec<_> = u.iter().map(|&v| (v, 1.0)).collect();
+    cone.add_constraint(&simplex, Cmp::Eq, 1.0);
+    for ri in (0..b.m).filter(|&ri| ws.basis[ri] < b.width) {
+        let row = &ws.tab[ri * b.width..(ri + 1) * b.width];
+        let value = row[b.rhs_col];
+        if value > CERT_ZERO && value < CERT_CLEAR {
+            return false;
+        }
+        if value <= CERT_ZERO {
+            let terms: Vec<_> = zero
+                .iter()
+                .zip(&u)
+                .filter(|&(&j, _)| row[j].abs() > EPS)
+                .map(|(&j, &v)| (v, row[j]))
+                .collect();
+            if !terms.is_empty() {
+                cone.add_constraint(&terms, Cmp::Le, 0.0);
+            }
+        }
+    }
+    matches!(solve_lp(&cone, &[]), Err(IlpError::Infeasible))
 }
 
 /// Install the phase-2 cost vector (original costs on the structurals,

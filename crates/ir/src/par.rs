@@ -38,12 +38,23 @@ where
         .collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock().expect("result slot poisoned") = Some(f(item));
-            });
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    *slots[i].lock().expect("result slot poisoned") = Some(f(item));
+                })
+            })
+            .collect();
+        // Join each worker explicitly: the scope alone returns once the
+        // closures finish, while the OS threads may still be exiting and
+        // holding their malloc arenas — so back-to-back fan-outs would
+        // keep creating arenas, and resident memory grows with them.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
